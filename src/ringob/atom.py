@@ -252,17 +252,24 @@ class SteadyStateProblem:
         self._M1c[_TRACE_IDX] = 0.0
         self._M2c = self._M2.copy()
         self._M2c[_TRACE_IDX] = 0.0
+        # x @ _dMcT stacks (dMc/d omega_1) x and (dMc/d omega_2) x
+        self._dMcT = np.concatenate([self._M1c.T, self._M2c.T], axis=1)
 
     def full_matrix(self, omega1: float, omega2: float) -> np.ndarray:
         """Unconstrained 9x9 stationary operator (trace-degenerate)."""
         return self._M0 + omega1 * self._M1 + omega2 * self._M2
 
-    def solve_batch(self, omega1, omega2):
+    def solve_batch(self, omega1, omega2, jacobian=False):
         """Solve for arrays of drive points.
 
         Returns (rho, residual, ok): rho has shape (n, 3, 3); residual is the
         max-abs residual of the full (un-replaced) stationary system; ok marks
         entries that solved cleanly below RESIDUAL_TOL.
+
+        With jacobian=True a fourth value drho of shape (n, 3, 3, 2) follows,
+        drho[..., j] = d rho / d omega_{j+1}. It comes from differentiating the
+        constrained system Mc x = e_8: dx/d omega_j = -Mc^-1 (dMc/d omega_j) x,
+        one more batched solve with the same matrices. NaN where not ok.
         """
         om1 = np.atleast_1d(np.asarray(omega1, dtype=float))
         om2 = np.atleast_1d(np.asarray(omega2, dtype=float))
@@ -305,7 +312,13 @@ class SteadyStateProblem:
                 except np.linalg.LinAlgError:
                     pass
         ok &= residual < RESIDUAL_TOL
-        return x.reshape(n, 3, 3), residual, ok
+        if not jacobian:
+            return x.reshape(n, 3, 3), residual, ok
+        dx = np.full((n, 9, 2), np.nan, dtype=complex)
+        if ok.any():
+            dMx = (x[ok] @ self._dMcT).reshape(-1, 2, 9).transpose(0, 2, 1)
+            dx[ok] = -np.linalg.solve(Mc[ok], dMx)
+        return x.reshape(n, 3, 3), residual, ok, dx.reshape(n, 3, 3, 2)
 
     @staticmethod
     def _residual_of(Mc, x, rhs):
@@ -420,44 +433,67 @@ def two_level_im_rho32(
 # gain exponents are capped here so a runaway (nonphysical) amplifying branch
 # yields a huge but finite residual instead of overflow
 _ETA_EXP_CAP = 100.0
-
-
-def _eta_from_chi(chi: np.ndarray, exponent: float) -> np.ndarray:
-    arg = exponent * np.sqrt(1.0 + 4.0 * np.pi * chi).imag
-    return np.exp(np.minimum(arg, _ETA_EXP_CAP))
+_EYE2 = np.eye(2)
 
 
 class CellResponse:
     """Batched absorption factors eta_j(I1_in, I2_in) of the atomic cell.
 
-    Intensities are in units of Omega^2 (Omega_j = scale_j * sqrt(I_j)).
+    Intensities are in units of Omega^2 (Omega_j = scale_j * sqrt(I_j)). The
+    coherences come from the exact stationary density matrix; subclasses
+    replace `coherences` and share the eta and chain-rule code of `etas`.
     """
 
     def __init__(self, atom: AtomParams, constants: OpticalConstants):
         self.atom = atom
         self.constants = constants
         self.problem = SteadyStateProblem(atom)
-        self._c1 = constants.coupling(1)
-        self._c2 = constants.coupling(2)
+        # per-mode constants as columns, to broadcast against (2, n) arrays
+        self._c = np.array([[constants.coupling(1)], [constants.coupling(2)]])
+        self._scale = np.array([[constants.intensity_scale1], [constants.intensity_scale2]])
         self._exponent = 2.0 * constants.k * constants.path_length
 
-    def etas(self, I1, I2):
-        """eta arrays for intensity arrays; ok=False where I<=0 or the solve fails."""
+    def coherences(self, om1, om2, jacobian=False):
+        """Excited-ground coherences (rho_21, rho_23) as a (2, n) array and the ok mask.
+
+        With jacobian=True a third value dcoh of shape (2, 2, n) follows,
+        dcoh[i, j] = d coh_i / d omega_j.
+        """
+        rho, _, ok, *drho = self.problem.solve_batch(om1, om2, jacobian=jacobian)
+        coh = rho[:, 1, ::2].T
+        if not jacobian:
+            return coh, ok
+        return coh, ok, drho[0][:, 1, ::2].transpose(1, 2, 0)
+
+    def etas(self, I1, I2, jacobian=False):
+        """eta arrays for intensity arrays; ok=False where I<=0 or the solve fails.
+
+        With jacobian=True a fourth value deta of shape (n, 2, 2) follows,
+        deta[:, i, j] = d eta_i / d I_j, by the chain rule through the
+        coherence derivatives (zero where the gain exponent is capped, NaN
+        where not ok).
+        """
         I1 = np.atleast_1d(np.asarray(I1, dtype=float))
         I2 = np.atleast_1d(np.asarray(I2, dtype=float))
         I1, I2 = np.broadcast_arrays(I1, I2)
         positive = (I1 > 0) & (I2 > 0) & np.isfinite(I1) & np.isfinite(I2)
-        om1 = self.constants.intensity_scale1 * np.sqrt(np.where(positive, I1, 1.0))
-        om2 = self.constants.intensity_scale2 * np.sqrt(np.where(positive, I2, 1.0))
-        rho, _, ok = self.problem.solve_batch(om1, om2)
+        om = self._scale * np.sqrt(np.where(positive, [I1, I2], 1.0))
+        coh, ok, *dcoh = self.coherences(om[0], om[1], jacobian=jacobian)
         ok = ok & positive
-        chi1 = self._c1 * rho[:, 1, 0] / om1
-        chi2 = self._c2 * rho[:, 1, 2] / om2
-        eta1 = _eta_from_chi(chi1, self._exponent)
-        eta2 = _eta_from_chi(chi2, self._exponent)
-        eta1 = np.where(ok, eta1, np.nan)
-        eta2 = np.where(ok, eta2, np.nan)
-        return eta1, eta2, ok
+        chi = self._c * coh / om
+        root = np.sqrt(1.0 + 4.0 * np.pi * chi)
+        arg = self._exponent * root.imag
+        eta = np.where(ok, np.exp(np.minimum(arg, _ETA_EXP_CAP)), np.nan)
+        if not jacobian:
+            return eta[0], eta[1], ok
+        # d eta_i / d omega_j = E eta_i Im(2 pi / root_i * dchi_ij) below the cap,
+        # with dchi_ij = c_i / omega_i * (dcoh_ij - delta_ij coh_i / omega_i)
+        dchi = dcoh[0] - _EYE2[:, :, None] * (coh / om)[:, None, :]
+        deta = ((2.0 * np.pi) * self._c / (om * root))[:, None, :] * dchi
+        slope = np.where(arg < _ETA_EXP_CAP, self._exponent * eta, 0.0)
+        # d omega_j / d I_j = scale_j^2 / (2 omega_j)
+        deta = deta.imag * slope[:, None, :] * (self._scale**2 / (2.0 * om))[None, :, :]
+        return eta[0], eta[1], ok, deta.transpose(2, 0, 1)
 
     def eta_pair(self, I1: float, I2: float) -> tuple[float, float]:
         e1, e2, ok = self.etas([I1], [I2])
@@ -468,42 +504,32 @@ class CellResponse:
         return float(e1[0]), float(e2[0])
 
 
-class ApproxCellResponse:
+class ApproxCellResponse(CellResponse):
     """Cell response built from the closed-form two-level expressions.
 
     The absorptive parts Im(rho_21) and Im(rho_23) are taken from the
     analytic approximations (with Delta = eps1); real parts are dropped.
     """
 
-    def __init__(self, atom: AtomParams, constants: OpticalConstants):
-        self.atom = atom
-        self.constants = constants
-        self._c1 = constants.coupling(1)
-        self._c2 = constants.coupling(2)
-        self._exponent = 2.0 * constants.k * constants.path_length
-
-    def etas(self, I1, I2):
-        I1 = np.atleast_1d(np.asarray(I1, dtype=float))
-        I2 = np.atleast_1d(np.asarray(I2, dtype=float))
-        I1, I2 = np.broadcast_arrays(I1, I2)
-        positive = (I1 > 0) & (I2 > 0) & np.isfinite(I1) & np.isfinite(I2)
-        om1 = self.constants.intensity_scale1 * np.sqrt(np.where(positive, I1, 1.0))
-        om2 = self.constants.intensity_scale2 * np.sqrt(np.where(positive, I2, 1.0))
+    def coherences(self, om1, om2, jacobian=False):
+        """i * Im(rho_21), i * Im(rho_23) in closed form; layout as in CellResponse."""
         g21 = self.atom.gamma[1, 0]
         g23 = self.atom.gamma[1, 2]
         G21 = self.atom.Gamma[0, 1]
         delta = self.atom.eps1
         den = _two_level_denominator(om1, om2, delta, g21, G21)
-        ok = positive & (den != 0)
+        ok = den != 0
         den = np.where(ok, den, 1.0)
         im12 = om1 * g21 * G21 / den
         im32 = om1**2 * g21**2 * G21 / (om2 * g23 * den) if g23 > 0 else np.zeros_like(im12)
-        im_rho21 = -im12
-        im_rho23 = -im32
-        chi1 = 1j * self._c1 * im_rho21 / om1
-        chi2 = 1j * self._c2 * im_rho23 / om2
-        eta1 = _eta_from_chi(chi1, self._exponent)
-        eta2 = _eta_from_chi(chi2, self._exponent)
-        eta1 = np.where(ok, eta1, np.nan)
-        eta2 = np.where(ok, eta2, np.nan)
-        return eta1, eta2, ok
+        coh = -1j * np.array([im12, im32])
+        if not jacobian:
+            return coh, ok
+        d12 = np.array([
+            g21 * G21 * (den - 8.0 * G21 * om1**2) / den**2,
+            2.0 * g21 * (om2 - delta) * im12 / den,
+        ])
+        # im32 = q * im12 with q = om1 g21 / (om2 g23)
+        q = om1 * g21 / (om2 * g23) if g23 > 0 else np.zeros_like(im12)
+        d32 = q * (d12 + np.array([im12 / om1, -im12 / om2]))
+        return coh, ok, -1j * np.array([d12, d32])

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,8 +85,6 @@ class SolverSection:
     damping: float = 0.5
     tol: float = 1e-10
     dedup_radius: float = 1e-4
-    fd_step: float = 1e-4
-    fd_floor: float = 1e-8
     seed_low_factor: float = 1e-3
     bound_margin: float = 1.05
 
@@ -225,6 +224,8 @@ def _coerce(section: str, name: str, want, value):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{where}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{where}: expected a finite number, got {value!r}")
         return float(value)
     if want is str:
         if not isinstance(value, str):
@@ -276,7 +277,7 @@ def load_config(source: str | None = None, text: str | None = None) -> RunConfig
                             not all(isinstance(w, list) and len(w) == 2 for w in sv)):
                         raise ValidationError(
                             f"{key}.{sub}: expected a list of [I1_0, I2_0] pairs")
-                    sv = [[float(a), float(b)] for a, b in sv]
+                    sv = [[_coerce(key, sub, float, c) for c in w] for w in sv]
                 else:
                     sv = _coerce(key, sub, type(current), sv)
                 setattr(section, sub, sv)

@@ -147,7 +147,8 @@ def map_domain(
     Rows (fixed I1 index) are processed in order; cells within a row may be
     evaluated concurrently. Each cell warm-starts from the roots of the same
     column in the previous, already finalized row, so results are identical
-    for any thread count.
+    for any thread count. A cell where no operating point is found
+    (NoSolution) is labelled failed; any other exception propagates.
     """
     a1 = grid.axis1()
     a2 = grid.axis2()
@@ -168,8 +169,6 @@ def map_domain(
         try:
             ops = find_all_solutions(inp, cav, cfg, response, extra_seeds=seeds)
         except NoSolution:
-            return i, j, None
-        except Exception:
             return i, j, None
         return i, j, ops
 

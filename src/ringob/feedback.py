@@ -52,23 +52,24 @@ class InputPoint:
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs of the multi-start damped Newton root finder."""
+    """Tuning knobs of the multi-start damped Newton root finder.
+
+    The Newton Jacobian is exact (d(eta)/dI from the response's implicit
+    derivative), so there is no difference step to tune.
+    """
 
     seed_grid: int = 24          # seeds per axis (log spaced)
     newton_max_iter: int = 40
     damping: float = 0.5         # step-halving factor of the backtracking line search
     tol: float = 1e-10           # residual tolerance, relative to max(I_0, 1)
     dedup_radius: float = 1e-4   # relative per-coordinate root identity radius
-    fd_step: float = 1e-4        # relative central-difference step for d(eta)/dI
-    fd_floor: float = 1e-8       # absolute floor of the difference step
     seed_low_factor: float = 1e-3
     bound_margin: float = 1.05
 
     def __post_init__(self):
         values = [
             self.seed_grid, self.newton_max_iter, self.damping, self.tol,
-            self.dedup_radius, self.fd_step, self.fd_floor,
-            self.seed_low_factor, self.bound_margin,
+            self.dedup_radius, self.seed_low_factor, self.bound_margin,
         ]
         if any(v <= 0 for v in values):
             raise ValueError("all SolverConfig fields must be positive")
@@ -98,7 +99,6 @@ class OperatingPoint:
     norm: float             # spectral norm of the linearized feedback matrix L
     residual: float
     gain: bool = False
-    jacobian_norm: float = float("nan")    # spectral norm of the iteration-map Jacobian
     jacobian_radius: float = float("nan")  # spectral radius of the iteration-map Jacobian
 
 
@@ -124,35 +124,54 @@ def residual(inp: InputPoint, cav: CavityParams, candidate, response) -> np.ndar
     return r[0]
 
 
-def _residual_batch(pts, inp, cav, response):
-    e1, e2, ok = response.etas(pts[:, 0], pts[:, 1])
+def _residual_batch(pts, inp, cav, response, jacobian=False):
+    """Residuals (n, 2), etas (n, 2) and ok at candidate points.
+
+    With jacobian=True a fourth value, the residual Jacobian (n, 2, 2), and a
+    fifth, d(eta)/dI (n, 2, 2), follow.
+    """
+    e1, e2, ok, *deta = response.etas(pts[:, 0], pts[:, 1], jacobian=jacobian)
     r1 = pts[:, 0] * (1.0 - cav.R1 * e1) - inp.I1_0
     r2 = pts[:, 1] * (1.0 - cav.R2 * e2) - inp.I2_0
-    return np.stack([r1, r2], axis=1), np.stack([e1, e2], axis=1), ok
+    r = np.stack([r1, r2], axis=1)
+    etas = np.stack([e1, e2], axis=1)
+    if not jacobian:
+        return r, etas, ok
+    # d r_i / d I_j = delta_ij (1 - R_i eta_i) - R_i I_i d eta_i / d I_j
+    R = np.array([cav.R1, cav.R2])
+    J = -(R * pts)[:, :, None] * deta[0]
+    J[:, [0, 1], [0, 1]] += 1.0 - R * etas
+    return r, etas, ok, J, deta[0]
 
 
 def _merge_close(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Drop points within relative `radius` of an earlier point (order stable)."""
+    """Indices of the points kept, in order, when every point within relative
+    `radius` of an earlier kept point is dropped."""
     n = len(pts)
-    if n == 0:
-        return np.empty((0, 2))
     if n > 256:
-        # conservative pre-merge on rounded log coordinates (first-seen order)
+        # pre-merge on rounded log coordinates (first-seen order); pairs that
+        # straddle a bucket edge are left to the exact pass below
         keys = np.floor(np.log(np.maximum(np.abs(pts), 1e-300)) / max(radius, 1e-12) / 4.0)
         _, first = np.unique(keys, axis=0, return_index=True)
-        pts = pts[np.sort(first)]
-        n = len(pts)
-        if n > 2048:
-            return pts
-    scale = np.maximum(np.maximum(np.abs(pts[:, None, :]), np.abs(pts[None, :, :])), 1e-30)
-    close = np.all(np.abs(pts[:, None, :] - pts[None, :, :]) <= radius * scale, axis=2)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if keep[i]:
-            later = close[i].copy()
-            later[: i + 1] = False
-            keep &= ~later
-    return pts[keep]
+        idx = np.sort(first)
+    else:
+        idx = np.arange(n)
+    cand = pts[idx]
+    mag = np.maximum(np.abs(cand), 1e-30)
+    keep = np.ones(len(idx), dtype=bool)
+    # rows of the pairwise test are built in blocks to bound memory
+    block = max(1, (1 << 18) // max(len(idx), 1))
+    for b0 in range(0, len(idx), block):
+        rows = slice(b0, b0 + block)
+        close = np.all(np.abs(cand[rows, None] - cand[None])
+                       <= radius * np.maximum(mag[rows, None], mag[None]), axis=2)
+        # a kept point drops every other point close to it; one close to an
+        # earlier kept point is already dropped when its own row comes up
+        for k in np.nonzero(close.sum(axis=1) > 1)[0]:
+            if keep[b0 + k]:
+                keep &= ~close[k]
+                keep[b0 + k] = True
+    return idx[keep]
 
 
 def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: float = 1.0):
@@ -171,73 +190,62 @@ def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: flo
 
 
 def _newton_roots(inp, cav, cfg, response, seeds, lo, hi):
-    """Batched multi-start damped Newton. Returns (roots, skipped_count)."""
+    """Batched multi-start damped Newton with the exact Jacobian.
+
+    Every iterate carries the residual and Jacobian of the evaluation that
+    produced it. The line search evaluates the full step of every point, then,
+    in one more batched call, the damped steps lambda = damping**k, k = 1..5,
+    of the points the full step did not improve; the first lambda that lowers
+    max|r| is taken, otherwise the smallest. Returns (roots, skipped_count).
+    """
     scale = max(inp.I1_0, inp.I2_0, 1.0)
     tol = cfg.tol * scale
-    pts = np.array(seeds, dtype=float)
-    pts = np.clip(pts, lo * 0.1, hi * 10.0)
+    box = (lo * 1e-3, hi * 10.0)
+    lams = cfg.damping ** np.arange(1, 6)
+    pts = np.clip(np.array(seeds, dtype=float), lo * 0.1, hi * 10.0)
+    r, _, ok, J, _ = _residual_batch(pts, inp, cav, response, jacobian=True)
     converged: list[np.ndarray] = []
     skipped = 0
 
     for it in range(cfg.newton_max_iter):
         if pts.shape[0] == 0:
             break
-        n = pts.shape[0]
-        h1 = np.maximum(cfg.fd_step * pts[:, 0], cfg.fd_floor)
-        h2 = np.maximum(cfg.fd_step * pts[:, 1], cfg.fd_floor)
-        stacked = np.concatenate([
-            pts,
-            pts + np.stack([h1, np.zeros(n)], axis=1),
-            pts - np.stack([h1, np.zeros(n)], axis=1),
-            pts + np.stack([np.zeros(n), h2], axis=1),
-            pts - np.stack([np.zeros(n), h2], axis=1),
-        ])
-        r_all, _, ok_all = _residual_batch(stacked, inp, cav, response)
-        ok = ok_all[:n] & ok_all[n:2*n] & ok_all[2*n:3*n] & ok_all[3*n:4*n] & ok_all[4*n:]
-        skipped += int(n - ok.sum())
-        r0 = r_all[:n]
-
-        done = ok & (np.abs(r0).max(axis=1) < tol)
-        for p in pts[done]:
-            converged.append(p.copy())
-        active = ok & ~done
+        skipped += int((~ok).sum())
+        norm = np.abs(r).max(axis=1)
+        done = ok & (norm < tol)
+        converged.extend(pts[done])
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        active = (ok & ~done & (np.abs(det) > 1e-300)
+                  & np.all(np.isfinite(J.reshape(-1, 4)), axis=1))
         if not active.any():
             break
+        base, r, J, norm, det = pts[active], r[active], J[active], norm[active], det[active]
+        step = np.empty_like(base)
+        step[:, 0] = -(J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
+        step[:, 1] = -(J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
 
-        J = np.empty((n, 2, 2))
-        J[:, :, 0] = (r_all[n:2*n] - r_all[2*n:3*n]) / (2.0 * h1)[:, None]
-        J[:, :, 1] = (r_all[3*n:4*n] - r_all[4*n:]) / (2.0 * h2)[:, None]
-
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        solvable = active & (np.abs(det) > 1e-300) & np.all(np.isfinite(J.reshape(n, 4)), axis=1)
-        idx = np.nonzero(solvable)[0]
-        if idx.size == 0:
-            break
-        step = np.empty((idx.size, 2))
-        d = det[idx]
-        step[:, 0] = -(J[idx, 1, 1] * r0[idx, 0] - J[idx, 0, 1] * r0[idx, 1]) / d
-        step[:, 1] = -(J[idx, 0, 0] * r0[idx, 1] - J[idx, 1, 0] * r0[idx, 0]) / d
-
-        base = pts[idx]
-        norm0 = np.abs(r0[idx]).max(axis=1)
-        # evaluate all damping candidates in one stacked call, take the first
-        # (least damped) one that decreases the residual norm
-        lams = cfg.damping ** np.arange(6)
-        trials = np.clip(
-            base[None, :, :] + lams[:, None, None] * step[None, :, :],
-            (lo * 1e-3)[None, None, :],
-            (hi * 10.0)[None, None, :],
-        )
-        r_t, _, ok_t = _residual_batch(trials.reshape(-1, 2), inp, cav, response)
-        norm_t = np.where(ok_t, np.abs(r_t).max(axis=1), np.inf).reshape(len(lams), idx.size)
-        improving = norm_t < norm0[None, :]
-        choice = np.where(improving.any(axis=0), improving.argmax(axis=0), len(lams) - 1)
-        pts = trials[choice, np.arange(idx.size)]
+        pts = np.clip(base + step, *box)
+        r, _, ok, J, _ = _residual_batch(pts, inp, cav, response, jacobian=True)
+        worse = np.nonzero(~(np.where(ok, np.abs(r).max(axis=1), np.inf) < norm))[0]
+        if worse.size:
+            m = worse.size
+            damped = np.clip(base[worse] + lams[:, None, None] * step[worse],
+                             *box).reshape(-1, 2)
+            r_d, _, ok_d, J_d, _ = _residual_batch(damped, inp, cav, response, jacobian=True)
+            norm_d = np.where(ok_d, np.abs(r_d).max(axis=1), np.inf).reshape(len(lams), m)
+            improving = norm_d < norm[worse]
+            choice = np.where(improving.any(axis=0), improving.argmax(axis=0), len(lams) - 1)
+            pick = choice * m + np.arange(m)
+            pts[worse], r[worse], ok[worse], J[worse] = (
+                damped[pick], r_d[pick], ok_d[pick], J_d[pick])
         if it >= 1:
-            pts = _merge_close(pts, cfg.dedup_radius)
+            keep = _merge_close(pts, cfg.dedup_radius)
+            pts, r, ok, J = pts[keep], r[keep], ok[keep], J[keep]
 
-    roots = _merge_close(np.array(converged), cfg.dedup_radius) if converged else np.empty((0, 2))
-    return roots, skipped
+    if not converged:
+        return np.empty((0, 2)), skipped
+    roots = np.array(converged)
+    return roots[_merge_close(roots, cfg.dedup_radius)], skipped
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -254,7 +262,8 @@ def spectral_radius(M: np.ndarray) -> float:
     a, b, c, d = (float(x) for x in np.asarray(M).ravel())
     tr = a + d
     det = a * d - b * c
-    disc = tr * tr - 4.0 * det
+    # tr^2 - 4 det, written without the cancellation of a nearly defective matrix
+    disc = (a - d) ** 2 + 4.0 * b * c
     if disc >= 0.0:
         r = np.sqrt(disc)
         return float(max(abs(tr + r), abs(tr - r)) / 2.0)
@@ -269,45 +278,30 @@ def classify(norm: float) -> tuple[str, bool]:
     return ("stable" if norm < 1.0 else "unstable"), False
 
 
-def stability_matrix(point, inp: InputPoint, cav: CavityParams, cfg: SolverConfig, response):
-    """Linearized feedback matrix L and the iteration-map Jacobian J at a root.
+def stability_matrix(point, inp: InputPoint, cav: CavityParams, response):
+    """Linearized feedback matrix L, iteration-map Jacobian J, etas and residual at a root.
 
-    d(eta)/dI by central differences; L follows the published linearization
-    with the [1 + R_j eta_j]^2 denominator, J is the Jacobian of the
-    round-trip map kept for diagnostics.
+    One evaluation of the response gives eta, the residual and the exact
+    d(eta)/dI. L follows the published linearization with the
+    [1 + R_j eta_j]^2 denominator; J is the Jacobian of the round-trip map.
     """
-    I1, I2 = float(point[0]), float(point[1])
-    h1 = max(cfg.fd_step * I1, cfg.fd_floor)
-    h2 = max(cfg.fd_step * I2, cfg.fd_floor)
-    pts = np.array([
-        [I1, I2],
-        [I1 + h1, I2], [I1 - h1, I2],
-        [I1, I2 + h2], [I1, I2 - h2],
-    ])
-    e1, e2, ok = response.etas(pts[:, 0], pts[:, 1])
-    if not ok.all():
-        raise NoSolution(inp, skipped=int((~ok).sum()))
-    etas = np.stack([e1, e2], axis=1)
-    deta = np.empty((2, 2))
-    deta[:, 0] = (etas[1] - etas[2]) / (2.0 * h1)
-    deta[:, 1] = (etas[3] - etas[4]) / (2.0 * h2)
-
+    pts = np.asarray(point, dtype=float).reshape(1, 2)
+    r, etas, ok, _, deta = _residual_batch(pts, inp, cav, response, jacobian=True)
+    if not ok[0]:
+        raise NoSolution(inp, skipped=1)
     R = np.array([cav.R1, cav.R2])
     I0 = np.array([inp.I1_0, inp.I2_0])
-    Iin = np.array([I1, I2])
     eta0 = etas[0]
-    L = (I0 * R / (1.0 + R * eta0) ** 2)[:, None] * deta
-    J = np.diag(R * eta0) + (R * Iin)[:, None] * deta
-    return L, J, eta0
+    L = (I0 * R / (1.0 + R * eta0) ** 2)[:, None] * deta[0]
+    J = np.diag(R * eta0) + (R * pts[0])[:, None] * deta[0]
+    return L, J, eta0, r[0]
 
 
-def _make_operating_point(point, inp, cav, cfg, response) -> OperatingPoint:
-    L, J, etas = stability_matrix(point, inp, cav, cfg, response)
-    norm = spectral_norm(L)
+def _make_operating_point(point, inp, cav, response) -> OperatingPoint:
+    L, J, etas, r = stability_matrix(point, inp, cav, response)
     # verdict from the dynamics-faithful quantity, published norm reported alongside
     radius = spectral_radius(J)
     stability, marginal = classify(radius)
-    r = residual(inp, cav, point, response)
     I1, I2 = float(point[0]), float(point[1])
     return OperatingPoint(
         I1_in=I1,
@@ -318,10 +312,9 @@ def _make_operating_point(point, inp, cav, cfg, response) -> OperatingPoint:
         I2_out=float(etas[1]) * I2,
         stability=stability,
         marginal=marginal,
-        norm=norm,
+        norm=spectral_norm(L),
         residual=float(np.abs(r).max()),
         gain=bool(etas[0] > 1.0 or etas[1] > 1.0),
-        jacobian_norm=spectral_norm(J),
         jacobian_radius=radius,
     )
 
@@ -342,7 +335,7 @@ def find_all_solutions(
     if cav.R1 == 0.0 and cav.R2 == 0.0:
         # feedback absent: internal intensities equal the inputs exactly
         pt = np.array([inp.I1_0, inp.I2_0])
-        return [_make_operating_point(pt, inp, cav, cfg, response)]
+        return [_make_operating_point(pt, inp, cav, response)]
 
     seeds, lo, hi = _seed_grid(inp, cav, cfg)
     # probe for gain: physical buildup bound assumes eta <= 1
@@ -360,7 +353,7 @@ def find_all_solutions(
     scale = max(inp.I1_0, inp.I2_0, 1.0)
     ops = []
     for pt in roots:
-        op = _make_operating_point(pt, inp, cav, cfg, response)
+        op = _make_operating_point(pt, inp, cav, response)
         if op.residual < 10.0 * cfg.tol * scale:
             ops.append(op)
     if not ops:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringob.atom import (
+    ApproxCellResponse,
     AtomParams,
     BranchPoint,
     CellResponse,
@@ -285,6 +286,71 @@ class TestCellResponse:
         e1, _, ok = resp.etas([1e6], [1e6])
         assert ok[0]
         assert e1[0] > 0.99
+
+
+def window_internal_points(n=200, seed=7):
+    """Log-uniform internal intensities over the acceptance window's reach:
+    I_j0 in [0.5, 20] x [5e-3, 2] builds up to I_j0 / (1 - R_j) at R = 0.6."""
+    rng = np.random.default_rng(seed)
+    I1 = np.exp(rng.uniform(np.log(0.5), np.log(20.0 / 0.4), n))
+    I2 = np.exp(rng.uniform(np.log(5e-3), np.log(2.0 / 0.4), n))
+    return I1, I2
+
+
+def central_differences(resp, I1, I2, rel_step=1e-6):
+    """d eta_i / d I_j by central differences, shape (n, 2, 2), and where all
+    four neighbours evaluated ok."""
+    fd = np.empty((len(I1), 2, 2))
+    ok = np.ones(len(I1), dtype=bool)
+    for j in range(2):
+        h = rel_step * (I1, I2)[j]
+        plus, minus = [I1.copy(), I2.copy()], [I1.copy(), I2.copy()]
+        plus[j] += h
+        minus[j] -= h
+        p1, p2, okp = resp.etas(*plus)
+        m1, m2, okm = resp.etas(*minus)
+        fd[:, 0, j] = (p1 - m1) / (2.0 * h)
+        fd[:, 1, j] = (p2 - m2) / (2.0 * h)
+        ok &= okp & okm
+    return fd, ok
+
+
+class TestEtaJacobian:
+    """Exact d(eta)/dI of the shared eta path against central differences.
+
+    The difference step 1e-6 relative leaves errors up to about 4e-6 of each
+    row's largest entry on these points, hence the bound 1e-4; a missing or
+    wrong chain-rule term is an O(1) error.
+    """
+
+    @pytest.mark.parametrize("cls", [CellResponse, ApproxCellResponse])
+    def test_matches_central_differences(self, cls):
+        resp = cls(AtomParams(), OpticalConstants())
+        I1, I2 = window_internal_points()
+        e1, e2, ok, deta = resp.etas(I1, I2, jacobian=True)
+        fd, ok_fd = central_differences(resp, I1, I2)
+        # below the e^100 gain cap, also at the difference neighbours
+        uncapped = np.stack([e1, e2], axis=1).max(axis=1) < np.exp(99.0)
+        use = ok & ok_fd & uncapped
+        assert use.sum() >= 100
+        row_scale = np.maximum(np.abs(fd), np.abs(deta)).max(axis=2, keepdims=True)
+        err = np.abs(deta - fd) / np.maximum(row_scale, 1e-300)
+        assert err[use].max() < 1e-4
+        assert np.median(err[use]) < 1e-7
+
+    @pytest.mark.parametrize("cls", [CellResponse, ApproxCellResponse])
+    def test_values_unchanged_by_jacobian(self, cls):
+        resp = cls(AtomParams(), OpticalConstants())
+        I1, I2 = window_internal_points()
+        I1 = np.concatenate([I1, [0.0, -1.0, 1.0]])
+        I2 = np.concatenate([I2, [1.0, 1.0, np.nan]])
+        e1, e2, ok, deta = resp.etas(I1, I2, jacobian=True)
+        f1, f2, ok_plain = resp.etas(I1, I2)
+        np.testing.assert_array_equal(ok, ok_plain)
+        np.testing.assert_allclose(e1, f1, rtol=1e-14)
+        np.testing.assert_allclose(e2, f2, rtol=1e-14)
+        assert np.isnan(deta[~ok]).all()
+        assert np.isfinite(deta[ok]).all()
 
 
 class TestValidation:

@@ -88,6 +88,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="eta_absorbing"):
             load_config(text='{"thresholds": {"eta_absorbing": 0.95}}')
 
+    # an accepted NaN labels every map cell failed (solver.tol), switches jump
+    # detection off (jump_threshold) or fails late under another name (i1_max)
+    @pytest.mark.parametrize("section, key, literal", [
+        ("solver", "tol", "NaN"),
+        ("thresholds", "jump_threshold", "NaN"),
+        ("grid", "i1_max", "NaN"),
+        ("point", "I1_0", "Infinity"),
+        ("constants", "C1", "-Infinity"),
+        ("sweep", "waypoints", "[[1.0, NaN], [2.0, 0.05]]"),
+    ])
+    def test_non_finite_rejected(self, section, key, literal):
+        with pytest.raises(ValidationError,
+                           match=f"^{section}\\.{key}: expected a finite number"):
+            load_config(text=f'{{"{section}": {{"{key}": {literal}}}}}')
+
 
 SMALL = {
     "grid": {"i1_min": 1.5, "i1_max": 3.5, "i1_steps": 6,
@@ -165,6 +180,13 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"cavity": {"R1": 2}}')
         assert main(["map", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_non_finite_config_exit_1(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"solver": {"tol": NaN}}')
+        out = tmp_path / "o"
+        assert main(["map", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["map", "--config", str(tmp_path / "nope.json"),

@@ -23,14 +23,18 @@ class SigmoidResponse:
     """Same saturable stub as in the feedback tests: three roots whenever the
     effective drive of mode 1 falls in the S-curve band."""
 
-    def etas(self, I1, I2):
+    def etas(self, I1, I2, jacobian=False):
         I1 = np.atleast_1d(np.asarray(I1, dtype=float))
         I2 = np.atleast_1d(np.asarray(I2, dtype=float))
         I1, I2 = np.broadcast_arrays(I1, I2)
         s = 1.0 / (1.0 + np.exp(-(I1 - 5.0) / 0.5))
         e1 = 0.05 + 0.9 * s
         ok = np.isfinite(I1) & np.isfinite(I2)
-        return e1, np.full_like(e1, 0.5), ok
+        if not jacobian:
+            return e1, np.full_like(e1, 0.5), ok
+        deta = np.zeros((len(e1), 2, 2))
+        deta[:, 0, 0] = 0.9 * s * (1.0 - s) / 0.5
+        return e1, np.full_like(e1, 0.5), ok, deta
 
 
 CAV = CavityParams(R1=0.9, R2=0.5)
@@ -100,15 +104,27 @@ class TestMapping:
 
     def test_failed_label(self):
         class Broken:
-            def etas(self, I1, I2):
+            def etas(self, I1, I2, jacobian=False):
                 I1 = np.atleast_1d(np.asarray(I1, dtype=float))
                 nan = np.full_like(I1, np.nan)
-                return nan, nan, np.zeros_like(I1, dtype=bool)
+                out = nan, nan, np.zeros_like(I1, dtype=bool)
+                return out + (np.full((len(I1), 2, 2), np.nan),) if jacobian else out
 
         grid = GridSpec(i1_min=1.0, i1_max=2.0, i1_steps=2,
                         i2_min=1.0, i2_max=2.0, i2_steps=2)
         m = map_domain(grid, CAV, Broken(), CFG)
         assert (m.region == "failed").all()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_propagates(self, threads):
+        class Raising:
+            def etas(self, I1, I2, jacobian=False):
+                raise RuntimeError("bug in the response")
+
+        grid = GridSpec(i1_min=1.0, i1_max=2.0, i1_steps=2,
+                        i2_min=1.0, i2_max=2.0, i2_steps=2)
+        with pytest.raises(RuntimeError, match="bug in the response"):
+            map_domain(grid, CAV, Raising(), CFG, threads=threads)
 
 
 def synthetic_map(mask, lo=1.0, hi=100.0):

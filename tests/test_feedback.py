@@ -4,11 +4,12 @@ round-trip iteration."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringob.atom import AtomParams, CellResponse, OpticalConstants
 from ringob.feedback import (
+    _merge_close,
     CavityParams,
     InputPoint,
     NoSolution,
@@ -29,10 +30,11 @@ class ConstantResponse:
         self.e1 = eta1
         self.e2 = eta2
 
-    def etas(self, I1, I2):
+    def etas(self, I1, I2, jacobian=False):
         I1 = np.atleast_1d(np.asarray(I1, dtype=float))
         ok = np.isfinite(I1)
-        return (np.full_like(I1, self.e1), np.full_like(I1, self.e2), ok)
+        out = (np.full_like(I1, self.e1), np.full_like(I1, self.e2), ok)
+        return out + (np.zeros((len(I1), 2, 2)),) if jacobian else out
 
 
 class SigmoidResponse:
@@ -46,14 +48,18 @@ class SigmoidResponse:
         self.hi = hi
         self.e2 = eta2
 
-    def etas(self, I1, I2):
+    def etas(self, I1, I2, jacobian=False):
         I1 = np.atleast_1d(np.asarray(I1, dtype=float))
         I2 = np.atleast_1d(np.asarray(I2, dtype=float))
         I1, I2 = np.broadcast_arrays(I1, I2)
         s = 1.0 / (1.0 + np.exp(-(I1 - self.center) / self.width))
         e1 = self.lo + (self.hi - self.lo) * s
         ok = np.isfinite(I1) & np.isfinite(I2)
-        return e1, np.full_like(e1, self.e2), ok
+        if not jacobian:
+            return e1, np.full_like(e1, self.e2), ok
+        deta = np.zeros((len(e1), 2, 2))
+        deta[:, 0, 0] = (self.hi - self.lo) * s * (1.0 - s) / self.width
+        return e1, np.full_like(e1, self.e2), ok, deta
 
 
 def dense_grid_root_count(inp, cav, response, lo, hi, n=400):
@@ -105,6 +111,7 @@ class TestClosedForms:
             np.sqrt((3.0 + np.sqrt(5.0)) / 2.0), rel=1e-14)
 
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
+    @example(-1.0, -1.0, -9.817615387886967e-18, -1.0)  # nearly defective
     @settings(max_examples=60, deadline=None)
     def test_spectral_radius_vs_eig(self, a, b, c, d):
         M = np.array([[a, b], [c, d]])
@@ -246,10 +253,11 @@ class TestValidation:
 
     def test_no_solution_reports_input(self):
         class Broken:
-            def etas(self, I1, I2):
+            def etas(self, I1, I2, jacobian=False):
                 I1 = np.atleast_1d(np.asarray(I1, dtype=float))
                 nan = np.full_like(I1, np.nan)
-                return nan, nan, np.zeros_like(I1, dtype=bool)
+                out = nan, nan, np.zeros_like(I1, dtype=bool)
+                return out + (np.full((len(I1), 2, 2), np.nan),) if jacobian else out
 
         with pytest.raises(NoSolution):
             find_all_solutions(InputPoint(1.0, 1.0), CavityParams(),
@@ -259,3 +267,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             iterate_map(InputPoint(1.0, 1.0), CavityParams(),
                         ConstantResponse(0.5, 0.5), (0.0, 1.0))
+
+
+class TestMergeClose:
+    def test_keeps_first_of_each_cluster(self):
+        pts = np.array([[1.0, 1.0], [2.0, 1.0], [1.0 + 5e-5, 1.0], [2.0, 1.0 - 5e-5]])
+        np.testing.assert_array_equal(_merge_close(pts, 1e-4), [0, 1])
+
+    def test_deduplicates_beyond_premerge(self):
+        # 3000 distinct points, plus a partner for every tenth one that lies
+        # within the radius but across a bucket edge of the rounded-log
+        # pre-merge, so only the exact pass can drop it
+        radius = 1e-4
+        width = 4.0 * radius
+        k1 = np.arange(3000) * 10 + 7
+        edge = np.exp(np.stack([k1 * width, np.full(3000, 5 * width)], axis=1))
+        distinct = edge * (1.0 + 0.1 * radius)
+        partners = edge[::10] * (1.0 - 0.1 * radius)
+        pts = np.concatenate([distinct, partners])
+        keys = np.floor(np.log(pts) / width)
+        assert len(np.unique(keys, axis=0)) > 2048
+        assert (keys[3000:, 0] != keys[:3000:10, 0]).all()
+        np.testing.assert_array_equal(_merge_close(pts, radius), np.arange(3000))

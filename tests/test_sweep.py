@@ -25,23 +25,28 @@ class ConstantResponse:
         self.e1 = eta1
         self.e2 = eta2
 
-    def etas(self, I1, I2):
+    def etas(self, I1, I2, jacobian=False):
         I1 = np.atleast_1d(np.asarray(I1, dtype=float))
-        return (np.full_like(I1, self.e1), np.full_like(I1, self.e2),
-                np.isfinite(I1))
+        out = (np.full_like(I1, self.e1), np.full_like(I1, self.e2),
+               np.isfinite(I1))
+        return out + (np.zeros((len(I1), 2, 2)),) if jacobian else out
 
 
 class SigmoidResponse:
     """S-curve in mode 1 (three coexisting branches in a band of I1_0)."""
 
-    def etas(self, I1, I2):
+    def etas(self, I1, I2, jacobian=False):
         I1 = np.atleast_1d(np.asarray(I1, dtype=float))
         I2 = np.atleast_1d(np.asarray(I2, dtype=float))
         I1, I2 = np.broadcast_arrays(I1, I2)
         s = 1.0 / (1.0 + np.exp(-(I1 - 5.0) / 0.5))
         e1 = 0.05 + 0.9 * s
         ok = np.isfinite(I1) & np.isfinite(I2)
-        return e1, np.full_like(e1, 0.5), ok
+        if not jacobian:
+            return e1, np.full_like(e1, 0.5), ok
+        deta = np.zeros((len(e1), 2, 2))
+        deta[:, 0, 0] = 0.9 * s * (1.0 - s) / 0.5
+        return e1, np.full_like(e1, 0.5), ok, deta
 
 
 def flat_trace(t, y1, y2, converged=None):
