@@ -133,13 +133,14 @@ class OpticalConstants:
     intensity_scale2: float = 1.0
 
     def __post_init__(self):
-        if self.Na <= 0 or self.k <= 0 or self.L <= 0:
-            raise ValueError("Na, k, L must be positive")
-        for c in (self.C1, self.C2):
-            if c is not None and (not np.isfinite(c) or c < 0):
-                raise ValueError("coupling overrides must be finite and >= 0")
-        if self.intensity_scale1 <= 0 or self.intensity_scale2 <= 0:
-            raise ValueError("intensity scales must be positive")
+        for name in ("Na", "k", "L", "intensity_scale1", "intensity_scale2"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name}: must be positive and finite, got {v}")
+        for name in ("D1", "D2", "C1", "C2"):
+            v = getattr(self, name)
+            if v is not None and not (np.isfinite(v) and v >= 0):
+                raise ValueError(f"{name}: must be finite and >= 0, got {v}")
 
     def coupling(self, mode: int) -> float:
         """Prefactor C_j such that chi_j = C_j * rho_coh / Omega_j (dimensionless)."""

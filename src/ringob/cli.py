@@ -154,14 +154,10 @@ POINT_COLUMNS = ["index", "I1_in", "I2_in", "eta1", "eta2", "I1_out", "I2_out",
                  "stability", "marginal", "norm", "residual"]
 
 
-def cmd_point(cfg: RunConfig, emitter: _Emitter, i1: float | None = None,
-              i2: float | None = None) -> int:
+def cmd_point(cfg: RunConfig, emitter: _Emitter) -> int:
     atom = cfg.atom.build()
     response = CellResponse(atom, cfg.constants.build())
-    inp = InputPoint(
-        cfg.point.I1_0 if i1 is None else i1,
-        cfg.point.I2_0 if i2 is None else i2,
-    )
+    inp = InputPoint(cfg.point.I1_0, cfg.point.I2_0)
     ops = find_all_solutions(inp, cfg.cavity.build(), cfg.solver.build(), response)
     rows = [
         [k, op.I1_in, op.I2_in, op.eta1, op.eta2, op.I1_out, op.I2_out,
@@ -250,6 +246,15 @@ def cmd_approx(cfg: RunConfig, emitter: _Emitter) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "steady": cmd_steady,
+    "point": cmd_point,
+    "map": cmd_map,
+    "sweep": cmd_sweep,
+    "approx": cmd_approx,
+}
+
+
 class _ArgumentError(Exception):
     pass
 
@@ -259,27 +264,41 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+def _number(kind):
+    """Flag type that parses `kind` but passes unparsable text on unchanged,
+    so that load_config rejects it under the config key's name."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            return text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ringob",
                      description="Two-loop ring-cavity bistability simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every flag but --config overrides the config key named by its dest
     def common(p):
         p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--out", dest="output_dir", help="output directory")
+        p.add_argument("--threads", type=_number(int),
                        help="worker threads for grid scans (0 = auto)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", help="csv or json")
 
     p = sub.add_parser("steady", help="steady state for one (omega1, omega2)")
     common(p)
-    p.add_argument("--omega1", type=float, default=None)
-    p.add_argument("--omega2", type=float, default=None)
+    p.add_argument("--omega1", dest="steady.omega1", type=_number(float))
+    p.add_argument("--omega2", dest="steady.omega2", type=_number(float))
 
     p = sub.add_parser("point", help="all operating points for one input pair")
     common(p)
-    p.add_argument("--i1", type=float, default=None, help="input intensity I1_0")
-    p.add_argument("--i2", type=float, default=None, help="input intensity I2_0")
+    p.add_argument("--i1", dest="point.I1_0", type=_number(float),
+                   help="input intensity I1_0")
+    p.add_argument("--i2", dest="point.I2_0", type=_number(float),
+                   help="input intensity I2_0")
 
     for name, help_text in (
         ("map", "bistability map over the configured input grid"),
@@ -299,44 +318,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    flags = vars(args)
+    command, config = flags.pop("command"), flags.pop("config")
+    overrides = {key: value for key, value in flags.items() if value is not None}
     try:
-        if args.config is not None:
-            cfg = load_config(source=args.config)
+        if config is not None:
+            cfg = load_config(source=config, overrides=overrides)
         else:
-            cfg = load_config(text="{}")
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.threads is not None:
-            cfg.threads = args.threads
-        if args.format is not None:
-            cfg.format = args.format
-        if getattr(args, "omega1", None) is not None:
-            cfg.steady.omega1 = args.omega1
-        if getattr(args, "omega2", None) is not None:
-            cfg.steady.omega2 = args.omega2
-        if cfg.threads < 0:
-            raise ValidationError("threads must be >= 0")
-        if cfg.steady.omega1 < 0 or cfg.steady.omega2 < 0:
-            raise ValidationError("steady: Rabi frequencies must be non-negative")
-        i1 = getattr(args, "i1", None)
-        i2 = getattr(args, "i2", None)
-        if (i1 is not None and i1 < 0) or (i2 is not None and i2 < 0):
-            raise ValidationError("point: input intensities must be non-negative")
+            cfg = load_config(text="{}", overrides=overrides)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     emitter = _Emitter(cfg.output_dir, cfg)
-    handlers = {
-        "steady": lambda: cmd_steady(cfg, emitter),
-        "point": lambda: cmd_point(cfg, emitter, i1=getattr(args, "i1", None),
-                                   i2=getattr(args, "i2", None)),
-        "map": lambda: cmd_map(cfg, emitter),
-        "sweep": lambda: cmd_sweep(cfg, emitter),
-        "approx": lambda: cmd_approx(cfg, emitter),
-    }
     try:
-        return handlers[args.command]()
+        return COMMANDS[command](cfg, emitter)
     except (NoSolution, atom_mod.SingularSteadyState, atom_mod.BranchPoint,
             atom_mod.ZeroDrive, atom_mod.DegenerateDenominator,
             np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class AtomSection:
     Gamma13: float = 0.0
 
     def build(self) -> AtomParams:
+        for name in ("gamma_2to1", "gamma_2to3", "Gamma12", "Gamma23", "Gamma13"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}: must be non-negative")
         gamma = np.zeros((3, 3))
         gamma[1, 0] = self.gamma_2to1
         gamma[1, 2] = self.gamma_2to3
@@ -47,63 +50,24 @@ class AtomSection:
         return AtomParams(eps1=self.eps1, eps2=self.eps2, gamma=gamma, Gamma=Gamma)
 
 
-@dataclass
-class ConstantsSection:
-    Na: float = 1e12
-    D1: float = 1e-18
-    D2: float = 1e-18
-    k: float = 2.0 * np.pi / 0.5e-4
-    L: float = 5.0
-    include_length: bool = True
-    C1: float | None = None
-    C2: float | None = None
-    intensity_scale1: float = 1.0
-    intensity_scale2: float = 1.0
+def _mirror(domain_type, name: str):
+    """Config section with the fields and defaults of `domain_type`, whose
+    `build()` constructs that type; the defaults live only on the domain type."""
 
-    def build(self) -> OpticalConstants:
-        return OpticalConstants(
-            Na=self.Na, D1=self.D1, D2=self.D2, k=self.k, L=self.L,
-            include_length=self.include_length, C1=self.C1, C2=self.C2,
-            intensity_scale1=self.intensity_scale1,
-            intensity_scale2=self.intensity_scale2,
-        )
+    def build(self):
+        return domain_type(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+    return make_dataclass(
+        name,
+        [(f.name, f.type, field(default=f.default)) for f in fields(domain_type)],
+        namespace={"build": build, "__module__": __name__},
+    )
 
 
-@dataclass
-class CavitySection:
-    R1: float = 0.6
-    R2: float = 0.6
-
-    def build(self) -> CavityParams:
-        return CavityParams(R1=self.R1, R2=self.R2)
-
-
-@dataclass
-class SolverSection:
-    seed_grid: int = 24
-    newton_max_iter: int = 40
-    damping: float = 0.5
-    tol: float = 1e-10
-    dedup_radius: float = 1e-4
-    seed_low_factor: float = 1e-3
-    bound_margin: float = 1.05
-
-    def build(self) -> SolverConfig:
-        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-
-@dataclass
-class GridSection:
-    i1_min: float = 1e-2
-    i1_max: float = 1e3
-    i1_steps: int = 60
-    i2_min: float = 1e-2
-    i2_max: float = 1e3
-    i2_steps: int = 60
-    log: bool = True
-
-    def build(self) -> GridSpec:
-        return GridSpec(**{f.name: getattr(self, f.name) for f in fields(self)})
+ConstantsSection = _mirror(OpticalConstants, "ConstantsSection")
+CavitySection = _mirror(CavityParams, "CavitySection")
+SolverSection = _mirror(SolverConfig, "SolverSection")
+GridSection = _mirror(GridSpec, "GridSection")
 
 
 @dataclass
@@ -126,7 +90,7 @@ class SweepSection:
         if self.kind == "path":
             return ParametricPath(waypoints=[tuple(w) for w in self.waypoints],
                                   steps=self.steps, log=self.log)
-        raise ValidationError(f"sweep.kind must be 'axis' or 'path', got {self.kind!r}")
+        raise ValueError(f"kind: must be 'axis' or 'path', got {self.kind!r}")
 
 
 @dataclass
@@ -157,26 +121,6 @@ class ApproxSection:
     omega_steps: int = 8
 
 
-_SECTIONS = {
-    "atom": AtomSection,
-    "constants": ConstantsSection,
-    "cavity": CavitySection,
-    "solver": SolverSection,
-    "grid": GridSection,
-    "sweep": SweepSection,
-    "thresholds": ThresholdSection,
-    "steady": SteadySection,
-    "point": PointSection,
-    "approx": ApproxSection,
-}
-
-_SCALARS = {
-    "threads": int,
-    "output_dir": str,
-    "format": str,
-}
-
-
 @dataclass
 class RunConfig:
     atom: AtomSection = field(default_factory=AtomSection)
@@ -205,14 +149,15 @@ class RunConfig:
             sec = getattr(self, name)
             for f in fields(sec):
                 items.append((f"{name}.{f.name}", getattr(sec, f.name)))
-        for name in sorted(_SCALARS):
-            if name not in ("output_dir", "threads"):
-                items.append((name, getattr(self, name)))
+        items.append(("format", self.format))
         return items
 
 
-def _coerce(section: str, name: str, want, value):
-    where = f"{section}.{name}" if section else name
+_SCALARS = ("threads", "output_dir", "format")
+_SECTIONS = tuple(f.name for f in fields(RunConfig) if f.name not in _SCALARS)
+
+
+def _coerce(where: str, want, value):
     if want is bool:
         if not isinstance(value, bool):
             raise ValidationError(f"{where}: expected a boolean, got {value!r}")
@@ -237,10 +182,38 @@ def _coerce(section: str, name: str, want, value):
 _FLOAT_OR_NONE = {"C1", "C2"}
 
 
-def load_config(source: str | None = None, text: str | None = None) -> RunConfig:
+def _set(cfg: RunConfig, section: str, name: str, value) -> None:
+    """Coerce `value` and store it as `section.name`, or as the top-level key
+    `name` when `section` is empty."""
+    where = f"{section}.{name}" if section else name
+    if section in _SECTIONS:
+        owner = getattr(cfg, section)
+        known = name in {f.name for f in fields(owner)}
+    else:
+        owner = cfg
+        known = not section and name in _SCALARS
+    if not known:
+        raise ValidationError(f"unknown key {where}")
+    if name in _FLOAT_OR_NONE:
+        if value is not None:
+            value = _coerce(where, float, value)
+    elif name == "waypoints":
+        if (not isinstance(value, list) or len(value) < 2 or
+                not all(isinstance(w, list) and len(w) == 2 for w in value)):
+            raise ValidationError(f"{where}: expected a list of [I1_0, I2_0] pairs")
+        value = [[_coerce(where, float, c) for c in w] for w in value]
+    else:
+        value = _coerce(where, type(getattr(owner, name)), value)
+    setattr(owner, name, value)
+
+
+def load_config(source: str | None = None, text: str | None = None,
+                overrides: dict | None = None) -> RunConfig:
     """Parse and validate a JSON config from a path or literal text.
 
     Missing keys take the defaults; unknown sections or keys are rejected.
+    `overrides` maps dotted keys ("steady.omega1", "threads") to values that
+    replace the file's; they are coerced and validated like the file.
     """
     if (source is None) == (text is None):
         raise ValueError("pass exactly one of source path or text")
@@ -263,57 +236,46 @@ def load_config(source: str | None = None, text: str | None = None) -> RunConfig
         if key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ValidationError(f"{key}: expected an object of settings")
-            section = getattr(cfg, key)
-            known = {f.name: f.type for f in fields(section)}
-            for sub, sv in value.items():
-                if sub not in known:
-                    raise ValidationError(f"unknown key {key}.{sub}")
-                current = getattr(section, sub)
-                if sub in _FLOAT_OR_NONE:
-                    if sv is not None:
-                        sv = _coerce(key, sub, float, sv)
-                elif sub == "waypoints":
-                    if (not isinstance(sv, list) or len(sv) < 2 or
-                            not all(isinstance(w, list) and len(w) == 2 for w in sv)):
-                        raise ValidationError(
-                            f"{key}.{sub}: expected a list of [I1_0, I2_0] pairs")
-                    sv = [[_coerce(key, sub, float, c) for c in w] for w in sv]
-                else:
-                    sv = _coerce(key, sub, type(current), sv)
-                setattr(section, sub, sv)
-        elif key in _SCALARS:
-            setattr(cfg, key, _coerce("", key, _SCALARS[key], value))
+            for name, v in value.items():
+                _set(cfg, key, name, v)
         else:
-            raise ValidationError(f"unknown key {key}")
+            _set(cfg, "", key, value)
+    for key, value in (overrides or {}).items():
+        section, _, name = key.rpartition(".")
+        _set(cfg, section, name, value)
 
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    try:
-        cfg.atom.build()
-        cfg.constants.build()
-        cfg.cavity.build()
-        cfg.solver.build()
-        cfg.grid.build()
-        cfg.sweep.build()
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc)) from exc
+    # the domain types name the offending field first ("tol: must be
+    # positive"); prefixing the section makes that the config key
+    for name in ("atom", "constants", "cavity", "solver", "grid", "sweep"):
+        try:
+            getattr(cfg, name).build()
+        except ValueError as exc:
+            raise ValidationError(f"{name}.{exc}") from exc
     th = cfg.thresholds
-    if not (0.0 < th.eta_absorbing < th.eta_transparent):
-        raise ValidationError(
-            "thresholds: require 0 < eta_absorbing < eta_transparent")
-    if th.jump_threshold <= 0:
-        raise ValidationError("thresholds.jump_threshold must be positive")
-    if cfg.threads < 0:
-        raise ValidationError("threads must be >= 0")
+    if not 0.0 < th.eta_absorbing:
+        raise ValidationError("thresholds.eta_absorbing: must be positive")
+    if not th.eta_absorbing < th.eta_transparent:
+        raise ValidationError("thresholds.eta_transparent: must exceed eta_absorbing")
+    if not th.jump_threshold > 0:
+        raise ValidationError("thresholds.jump_threshold: must be positive")
+    if not cfg.threads >= 0:
+        raise ValidationError("threads: must be >= 0")
     if cfg.format not in ("csv", "json"):
-        raise ValidationError(f"format must be 'csv' or 'json', got {cfg.format!r}")
-    if cfg.steady.omega1 < 0 or cfg.steady.omega2 < 0:
-        raise ValidationError("steady: Rabi frequencies must be non-negative")
-    if cfg.point.I1_0 < 0 or cfg.point.I2_0 < 0:
-        raise ValidationError("point: input intensities must be non-negative")
+        raise ValidationError(f"format: must be 'csv' or 'json', got {cfg.format!r}")
+    for section in ("steady", "point"):
+        values = getattr(cfg, section)
+        for f in fields(values):
+            if not getattr(values, f.name) >= 0:
+                raise ValidationError(f"{section}.{f.name}: must be non-negative")
     ap = cfg.approx
-    if not (0 < ap.omega_min < ap.omega_max) or ap.omega_steps < 2:
-        raise ValidationError("approx: require 0 < omega_min < omega_max, steps >= 2")
+    if not 0 < ap.omega_min:
+        raise ValidationError("approx.omega_min: must be positive")
+    if not ap.omega_min < ap.omega_max:
+        raise ValidationError("approx.omega_max: must exceed omega_min")
+    if not ap.omega_steps >= 2:
+        raise ValidationError("approx.omega_steps: must be >= 2")

@@ -42,37 +42,28 @@ class GridSpec:
     log: bool = True
 
     def __post_init__(self):
-        for name, lo, hi, steps in (
-            ("I1", self.i1_min, self.i1_max, self.i1_steps),
-            ("I2", self.i2_min, self.i2_max, self.i2_steps),
+        for ax, lo, hi, steps in (
+            ("i1", self.i1_min, self.i1_max, self.i1_steps),
+            ("i2", self.i2_min, self.i2_max, self.i2_steps),
         ):
-            if lo < 0 or hi <= lo:
-                raise ValueError(f"{name} range must satisfy 0 <= min < max")
-            if steps < 2:
-                raise ValueError(f"{name} steps must be >= 2")
-            if self.log and lo <= 0:
-                raise ValueError(f"{name} min must be positive for log spacing")
+            if not (np.isfinite(lo) and lo >= 0):
+                raise ValueError(f"{ax}_min: must be finite and >= 0, got {lo}")
+            if self.log and lo == 0:
+                raise ValueError(f"{ax}_min: must be positive for log spacing")
+            if not (np.isfinite(hi) and hi > lo):
+                raise ValueError(f"{ax}_max: must be finite and exceed "
+                                 f"{ax}_min = {lo}, got {hi}")
+            if not steps >= 2:
+                raise ValueError(f"{ax}_steps: must be >= 2, got {steps}")
+
+    def _axis(self, lo: float, hi: float, steps: int) -> np.ndarray:
+        return (np.geomspace if self.log else np.linspace)(lo, hi, steps)
 
     def axis1(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.i1_min, self.i1_max, self.i1_steps)
-        return np.linspace(self.i1_min, self.i1_max, self.i1_steps)
+        return self._axis(self.i1_min, self.i1_max, self.i1_steps)
 
     def axis2(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.i2_min, self.i2_max, self.i2_steps)
-        return np.linspace(self.i2_min, self.i2_max, self.i2_steps)
-
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (
-            self.i1_min, self.i1_max, self.i1_steps,
-            self.i2_min, self.i2_max, self.i2_steps, self.log,
-        ) == (
-            other.i1_min, other.i1_max, other.i1_steps,
-            other.i2_min, other.i2_max, other.i2_steps, other.log,
-        )
+        return self._axis(self.i2_min, self.i2_max, self.i2_steps)
 
 
 def _corner_axis(axis: np.ndarray, log: bool) -> np.ndarray:
@@ -288,38 +279,6 @@ def compare_domains(map_a: BistabilityMap, map_b: BistabilityMap) -> DomainCompa
         symmetric_difference=int((ma ^ mb).sum()),
         differing_cells=[(int(i), int(j)) for i, j in np.argwhere(diff)],
     )
-
-
-def enclosed_cells(bmap: BistabilityMap) -> set[tuple[int, int]]:
-    """Cells whose centers lie inside the boundary chains (even-odd rule).
-
-    Purely geometric check against the emitted polylines: must equal the
-    bistable cell set, with hole chains cancelling the outer chains.
-    """
-    a1 = bmap.grid.axis1()
-    a2 = bmap.grid.axis2()
-    if bmap.grid.log:
-        cx, cy = np.log(a1), np.log(a2)
-        chains = [np.log(np.asarray(ch)) for ch in bmap.boundary]
-    else:
-        cx, cy = a1, a2
-        chains = [np.asarray(ch) for ch in bmap.boundary]
-    inside = set()
-    for i, x in enumerate(cx):
-        for j, y in enumerate(cy):
-            crossings = 0
-            for ch in chains:
-                x0, y0 = ch[:-1, 0], ch[:-1, 1]
-                x1, y1 = ch[1:, 0], ch[1:, 1]
-                # horizontal ray towards +x; edges are axis-aligned
-                spans = (y0 > y) != (y1 > y)
-                if spans.any():
-                    xs = x0[spans] + (y - y0[spans]) / (y1[spans] - y0[spans]) \
-                        * (x1[spans] - x0[spans])
-                    crossings += int((xs > x).sum())
-            if crossings % 2 == 1:
-                inside.add((i, j))
-    return inside
 
 
 MAP_COLUMNS = ["i", "j", "I1_0", "I2_0", "solution_count", "stable_count",

@@ -7,7 +7,7 @@ j = 1, 2, which keeps the equations regular at R_j = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ class CavityParams:
     def __post_init__(self):
         for name, r in (("R1", self.R1), ("R2", self.R2)):
             if not (0.0 <= r < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {r}")
+                raise ValueError(f"{name}: must lie in [0, 1), got {r}")
 
 
 @dataclass
@@ -67,14 +67,13 @@ class SolverConfig:
     bound_margin: float = 1.05
 
     def __post_init__(self):
-        values = [
-            self.seed_grid, self.newton_max_iter, self.damping, self.tol,
-            self.dedup_radius, self.seed_low_factor, self.bound_margin,
-        ]
-        if any(v <= 0 for v in values):
-            raise ValueError("all SolverConfig fields must be positive")
-        if self.dedup_radius <= self.tol:
-            raise ValueError("dedup_radius must exceed the convergence tolerance")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{f.name}: must be positive and finite, got {v}")
+        if not self.dedup_radius > self.tol:
+            raise ValueError(f"dedup_radius: must exceed tol = {self.tol}, "
+                             f"got {self.dedup_radius}")
 
 
 @dataclass

@@ -29,13 +29,15 @@ class AxisSweep:
 
     def __post_init__(self):
         if self.axis not in (1, 2):
-            raise ValueError("axis must be 1 or 2")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
-        if self.start < 0 or self.stop < 0 or self.fixed < 0:
-            raise ValueError("intensities must be non-negative")
-        if self.log and (self.start <= 0 or self.stop <= 0):
-            raise ValueError("log spacing needs positive endpoints")
+            raise ValueError(f"axis: must be 1 or 2, got {self.axis}")
+        if not self.steps >= 2:
+            raise ValueError(f"steps: must be >= 2, got {self.steps}")
+        for name in ("start", "stop", "fixed"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0):
+                raise ValueError(f"{name}: must be finite and >= 0, got {v}")
+            if self.log and name != "fixed" and v == 0:
+                raise ValueError(f"{name}: must be positive for log spacing")
 
     def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, I1_0, I2_0) arrays of the forward pass."""
@@ -64,14 +66,15 @@ class ParametricPath:
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
-            raise ValueError("need at least two waypoints")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
-        for x, y in self.waypoints:
-            if x < 0 or y < 0:
-                raise ValueError("intensities must be non-negative")
-            if self.log and (x <= 0 or y <= 0):
-                raise ValueError("log interpolation needs positive waypoints")
+            raise ValueError("waypoints: need at least two")
+        if not self.steps >= 2:
+            raise ValueError(f"steps: must be >= 2, got {self.steps}")
+        pts = np.asarray(self.waypoints, dtype=float)
+        if not (np.isfinite(pts).all() and (pts >= 0).all()):
+            raise ValueError(
+                f"waypoints: must be finite and >= 0, got {self.waypoints}")
+        if self.log and (pts == 0).any():
+            raise ValueError("waypoints: must be positive for log interpolation")
 
     def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pts = np.asarray(self.waypoints, dtype=float)

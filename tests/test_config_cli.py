@@ -1,14 +1,24 @@
 """Configuration schema and command-line plumbing: defaults, validation
 diagnostics, exit codes, file emission and byte-determinism."""
 
+import glob
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ringob.atom import OpticalConstants
 from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, fmt, main
 from ringob.config import ParseError, ValidationError, load_config
+from ringob.domain import GridSpec
+from ringob.feedback import SolverConfig
+from ringob.sweep import AxisSweep, ParametricPath
+
+NAN, INF = float("nan"), float("inf")
+PRESETS = sorted(glob.glob(
+    os.path.join(os.path.dirname(__file__), "..", "presets", "*.json")))
 
 
 class TestDefaults:
@@ -102,6 +112,86 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match=f"^{section}\\.{key}: expected a finite number"):
             load_config(text=f'{{"{section}": {{"{key}": {literal}}}}}')
+
+    def test_relation_errors_name_key(self):
+        with pytest.raises(ValidationError, match="^grid\\.i1_max: must be finite"):
+            load_config(text='{"grid": {"i1_max": 0.001}}')
+        with pytest.raises(ValidationError, match="^solver\\.dedup_radius: must exceed"):
+            load_config(text='{"solver": {"dedup_radius": 1e-12}}')
+
+    def test_dotted_overrides(self):
+        cfg = load_config(text='{"point": {"I1_0": 3.0}}',
+                          overrides={"point.I1_0": 1.0, "threads": 2})
+        assert cfg.point.I1_0 == 1.0 and cfg.threads == 2
+        with pytest.raises(ValidationError, match="^unknown key point.I3_0"):
+            load_config(text="{}", overrides={"point.I3_0": 1.0})
+
+
+# every numeric key of the sections mirrored from a domain type
+MIRRORED_KEYS = [
+    (section, f.name)
+    for section in ("constants", "cavity", "solver", "grid")
+    for f in fields(getattr(load_config(text="{}"), section))
+    if not isinstance(f.default, bool)
+]
+
+
+@pytest.mark.parametrize("literal", ["-1", "NaN"])
+@pytest.mark.parametrize("section, key", MIRRORED_KEYS)
+def test_cli_rejects_bad_value_naming_key(section, key, literal, tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+    out = tmp_path / "o"
+    assert main(["map", "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["steady", "--omega1", "nan"], "steady.omega1"),
+    (["steady", "--omega2", "-1"], "steady.omega2"),
+    (["point", "--i1", "nan"], "point.I1_0"),
+    (["point", "--i2", "-0.5"], "point.I2_0"),
+    (["point", "--i1", "inf"], "point.I1_0"),
+    (["point", "--i2", "abc"], "point.I2_0"),
+    (["map", "--threads", "-1"], "threads"),
+    (["map", "--threads", "2.5"], "threads"),
+    (["map", "--format", "xml"], "format"),
+])
+def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SolverConfig(tol=NAN),
+    lambda: SolverConfig(damping=NAN),
+    lambda: GridSpec(i1_max=NAN),
+    lambda: GridSpec(i1_min=NAN),
+    lambda: OpticalConstants(Na=NAN),
+    lambda: OpticalConstants(D1=NAN),
+    lambda: OpticalConstants(intensity_scale1=NAN),
+    lambda: AxisSweep(axis=1, start=NAN, stop=1.0, steps=5, fixed=0.1),
+    lambda: AxisSweep(axis=1, start=0.5, stop=1.0, steps=5, fixed=INF),
+    lambda: ParametricPath(waypoints=[(1.0, NAN), (2.0, 0.05)], steps=5),
+], ids=["solver-tol", "solver-damping", "grid-i1_max", "grid-i1_min",
+        "constants-Na", "constants-D1", "constants-intensity_scale1",
+        "axis-start", "axis-fixed", "path-waypoint"])
+def test_domain_types_reject_non_finite(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_presets_exist():
+    names = {os.path.basename(p) for p in PRESETS}
+    assert {"default.json", "high_q.json", "mid_q.json"} <= names
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=os.path.basename)
+def test_preset_loads(path):
+    load_config(source=path)
 
 
 SMALL = {
@@ -221,6 +311,7 @@ class TestCli:
               "--i1", "1.0", "--i2", "1.0"])
         text = open(os.path.join(out, "point.csv")).read()
         assert "# cavity.R1 = 6.00000000e-01" in text
+        assert "# point.I1_0 = 1.00000000e+00" in text
         assert "# solver.seed_grid = 8" in text
         assert text.startswith("# units:")
 

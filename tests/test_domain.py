@@ -11,12 +11,43 @@ from ringob.domain import (
     GridSpec,
     boundary_rows,
     compare_domains,
-    enclosed_cells,
     extract_boundary,
     map_domain,
     map_rows,
 )
 from ringob.feedback import CavityParams, SolverConfig
+
+
+def enclosed_cells(bmap: BistabilityMap) -> set[tuple[int, int]]:
+    """Cells whose centers lie inside the boundary chains (even-odd rule).
+
+    Purely geometric check against the emitted polylines: must equal the
+    bistable cell set, with hole chains cancelling the outer chains.
+    """
+    a1 = bmap.grid.axis1()
+    a2 = bmap.grid.axis2()
+    if bmap.grid.log:
+        cx, cy = np.log(a1), np.log(a2)
+        chains = [np.log(np.asarray(ch)) for ch in bmap.boundary]
+    else:
+        cx, cy = a1, a2
+        chains = [np.asarray(ch) for ch in bmap.boundary]
+    inside = set()
+    for i, x in enumerate(cx):
+        for j, y in enumerate(cy):
+            crossings = 0
+            for ch in chains:
+                x0, y0 = ch[:-1, 0], ch[:-1, 1]
+                x1, y1 = ch[1:, 0], ch[1:, 1]
+                # horizontal ray towards +x; edges are axis-aligned
+                spans = (y0 > y) != (y1 > y)
+                if spans.any():
+                    xs = x0[spans] + (y - y0[spans]) / (y1[spans] - y0[spans]) \
+                        * (x1[spans] - x0[spans])
+                    crossings += int((xs > x).sum())
+            if crossings % 2 == 1:
+                inside.add((i, j))
+    return inside
 
 
 class SigmoidResponse:
