@@ -5,7 +5,9 @@ boundary extraction of the bistable set.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +18,8 @@ from .feedback import (
     NoSolution,
     OperatingPoint,
     SolverConfig,
-    find_all_solutions,
+    find_all_solutions,  # noqa: F401  re-exported; bench/tracing.py wraps it here
+    solve_cells,
 )
 
 REGION_ABSORBING = "absorbing"
@@ -135,11 +138,13 @@ def map_domain(
 ) -> BistabilityMap:
     """Solve every grid cell and label the three regions of the input plane.
 
-    Rows (fixed I1 index) are processed in order; cells within a row may be
-    evaluated concurrently. Each cell warm-starts from the roots of the same
-    column in the previous, already finalized row, so results are identical
-    for any thread count. A cell where no operating point is found
-    (NoSolution) is labelled failed; any other exception propagates.
+    Rows (fixed I1 index) are solved in order. Each cell warm-starts from the
+    roots of the same column in the previous, already finalized row. A row is
+    split into `threads` contiguous groups of cells (0: one per CPU); each
+    group is one batched solve (solve_cells), and the groups of a row run
+    concurrently. A cell's arithmetic does not depend on its group, so the
+    map is identical for any thread count. A cell where no operating point is
+    found (NoSolution) is labelled failed; any other exception propagates.
     """
     a1 = grid.axis1()
     a2 = grid.axis2()
@@ -151,27 +156,20 @@ def map_domain(
     max_eta = np.full((n1, n2), np.nan)
     roots_prev: list[list[tuple[float, float]] | None] = [None] * n2
 
-    workers = threads if threads and threads > 0 else None
+    ngroups = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    groups = [g for g in np.array_split(np.arange(n2), ngroups) if len(g)]
 
-    def solve_cell(args):
-        i, j = args
-        inp = InputPoint(float(a1[i]), float(a2[j]))
-        seeds = roots_prev[j]
-        try:
-            ops = find_all_solutions(inp, cav, cfg, response, extra_seeds=seeds)
-        except NoSolution:
-            return i, j, None
-        return i, j, ops
+    def solve_group(i, cols):
+        inputs = [InputPoint(float(a1[i]), float(a2[j])) for j in cols]
+        return solve_cells(inputs, cav, cfg, response, [roots_prev[j] for j in cols])
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
         for i in range(n1):
-            jobs = [(i, j) for j in range(n2)]
-            results = list(pool.map(solve_cell, jobs)) if workers != 1 else [
-                solve_cell(job) for job in jobs
-            ]
+            results = [r for part in run(solve_group, [i] * len(groups), groups) for r in part]
             new_prev: list[list[tuple[float, float]] | None] = [None] * n2
-            for _, j, ops in results:
-                if ops is None:
+            for j, ops in enumerate(results):
+                if isinstance(ops, NoSolution):
                     continue
                 c, s, lo, hi = _cell_stats(ops)
                 counts[i, j] = c

@@ -117,21 +117,22 @@ class IterationResult:
 def residual(inp: InputPoint, cav: CavityParams, candidate, response) -> np.ndarray:
     """Residual 2-vector of the closed feedback system at a candidate point."""
     pts = np.asarray(candidate, dtype=float).reshape(1, 2)
-    r, _, ok = _residual_batch(pts, inp, cav, response)
+    r, _, ok = _residual_batch(pts, np.array([inp.I1_0, inp.I2_0]), cav, response)
     if not ok[0]:
         raise NoSolution(inp, skipped=1)
     return r[0]
 
 
-def _residual_batch(pts, inp, cav, response, jacobian=False):
-    """Residuals (n, 2), etas (n, 2) and ok at candidate points.
+def _residual_batch(pts, I0, cav, response, jacobian=False):
+    """Residuals (n, 2), etas (n, 2) and ok at candidate points, for inputs
+    I0 given per point (n, 2) or as one pair (2,).
 
     With jacobian=True a fourth value, the residual Jacobian (n, 2, 2), and a
     fifth, d(eta)/dI (n, 2, 2), follow.
     """
     e1, e2, ok, *deta = response.etas(pts[:, 0], pts[:, 1], jacobian=jacobian)
-    r1 = pts[:, 0] * (1.0 - cav.R1 * e1) - inp.I1_0
-    r2 = pts[:, 1] * (1.0 - cav.R2 * e2) - inp.I2_0
+    r1 = pts[:, 0] * (1.0 - cav.R1 * e1) - I0[..., 0]
+    r2 = pts[:, 1] * (1.0 - cav.R2 * e2) - I0[..., 1]
     r = np.stack([r1, r2], axis=1)
     etas = np.stack([e1, e2], axis=1)
     if not jacobian:
@@ -143,34 +144,58 @@ def _residual_batch(pts, inp, cav, response, jacobian=False):
     return r, etas, ok, J, deta[0]
 
 
-def _merge_close(pts: np.ndarray, radius: float) -> np.ndarray:
+def _merge_close(pts: np.ndarray, radius: float, cell=None) -> np.ndarray:
     """Indices of the points kept, in order, when every point within relative
-    `radius` of an earlier kept point is dropped."""
+    `radius` of an earlier kept point of the same cell is dropped.
+
+    `cell` labels each point's cell (default: one cell). A cell of more than
+    256 points is first pre-merged on rounded log coordinates (first seen
+    kept); pairs that straddle a bucket edge are left to the exact pass.
+    """
     n = len(pts)
-    if n > 256:
-        # pre-merge on rounded log coordinates (first-seen order); pairs that
-        # straddle a bucket edge are left to the exact pass below
-        keys = np.floor(np.log(np.maximum(np.abs(pts), 1e-300)) / max(radius, 1e-12) / 4.0)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        idx = np.sort(first)
-    else:
-        idx = np.arange(n)
+    cell = np.zeros(n, dtype=np.intp) if cell is None else np.asarray(cell)
+    idx = np.arange(n)
+    big = np.bincount(cell)[cell] > 256 if n else np.zeros(0, dtype=bool)
+    if big.any():
+        keys = np.floor(np.log(np.maximum(np.abs(pts[big]), 1e-300))
+                        / max(radius, 1e-12) / 4.0)
+        _, first = np.unique(np.column_stack([cell[big], keys]), axis=0,
+                             return_index=True)
+        idx = np.sort(np.concatenate([idx[~big], idx[big][first]]))
     cand = pts[idx]
     mag = np.maximum(np.abs(cand), 1e-30)
-    keep = np.ones(len(idx), dtype=bool)
-    # rows of the pairwise test are built in blocks to bound memory
-    block = max(1, (1 << 18) // max(len(idx), 1))
-    for b0 in range(0, len(idx), block):
-        rows = slice(b0, b0 + block)
-        close = np.all(np.abs(cand[rows, None] - cand[None])
-                       <= radius * np.maximum(mag[rows, None], mag[None]), axis=2)
-        # a kept point drops every other point close to it; one close to an
-        # earlier kept point is already dropped when its own row comes up
-        for k in np.nonzero(close.sum(axis=1) > 1)[0]:
-            if keep[b0 + k]:
-                keep &= ~close[k]
-                keep[b0 + k] = True
-    return idx[keep]
+    # candidate pairs: same cell and first coordinates no further apart than
+    # a close pair can be (|a - b| <= radius * max(|a|, |b|) bounds b - a by
+    # radius * (|a| + 1e-30) / (1 - radius); doubled against rounding). The
+    # cell and coordinate form a complex key, which numpy orders lexically.
+    key = np.empty(len(idx), dtype=complex)
+    key.real = cell[idx]
+    key.imag = cand[:, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    reach = 2.0 * radius / (1.0 - radius) if radius < 1.0 else np.inf
+    bound = key.copy()
+    bound.imag = key.imag + reach * (np.abs(key.imag) + 1e-30)
+    end = np.searchsorted(key, bound, side="right")
+    count = end - np.arange(len(idx)) - 1
+    first = np.repeat(np.arange(len(idx)), count)
+    second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    a, b = np.minimum(order[first], order[second]), np.maximum(order[first], order[second])
+    close = np.all(np.abs(cand[a] - cand[b]) <= radius * np.maximum(mag[a], mag[b]), axis=1)
+    earlier, later = a[close], b[close]
+    # greedy in index order: a point is kept iff no earlier kept point is
+    # close to it; decided in rounds, each settling at least the first open point
+    kept = np.ones(len(idx), dtype=bool)
+    kept[later] = False
+    open_ = ~kept
+    while open_.any():
+        hit = np.zeros(len(idx), dtype=bool)
+        hit[later[kept[earlier]]] = True
+        waiting = np.zeros(len(idx), dtype=bool)
+        waiting[later[open_[earlier]]] = True
+        kept |= open_ & ~hit & ~waiting
+        open_ &= waiting & ~hit
+    return idx[kept]
 
 
 def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: float = 1.0):
@@ -188,49 +213,57 @@ def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: flo
     return np.stack([g1.ravel(), g2.ravel()], axis=1), lo, hi
 
 
-def _newton_roots(inp, cav, cfg, response, seeds, lo, hi):
-    """Batched multi-start damped Newton with the exact Jacobian.
+def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
+    """Batched multi-start damped Newton with the exact Jacobian, over cells.
+
+    Cell c has inputs I0[c] and seed box [lo[c], hi[c]]; seed k belongs to
+    cell cell[k]. Every point is iterated exactly as if its cell were solved
+    alone: all arithmetic is per point and merging is per cell.
 
     Every iterate carries the residual and Jacobian of the evaluation that
     produced it. The line search evaluates the full step of every point, then,
     in one more batched call, the damped steps lambda = damping**k, k = 1..5,
     of the points the full step did not improve; the first lambda that lowers
-    max|r| is taken, otherwise the smallest. Returns (roots, skipped_count).
+    max|r| is taken, otherwise the smallest. Returns (roots, root cells,
+    skipped count per cell), the roots of each cell in the order found.
     """
-    scale = max(inp.I1_0, inp.I2_0, 1.0)
-    tol = cfg.tol * scale
-    box = (lo * 1e-3, hi * 10.0)
+    tol = cfg.tol * np.maximum(np.maximum(I0[:, 0], I0[:, 1]), 1.0)
+    box_lo, box_hi = lo * 1e-3, hi * 10.0
     lams = cfg.damping ** np.arange(1, 6)
-    pts = np.clip(np.array(seeds, dtype=float), lo * 0.1, hi * 10.0)
-    r, _, ok, J, _ = _residual_batch(pts, inp, cav, response, jacobian=True)
-    converged: list[np.ndarray] = []
-    skipped = 0
+    pts = np.clip(seeds, (lo * 0.1)[cell], (hi * 10.0)[cell])
+    r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
+    converged, converged_cell = [], []
+    skipped = np.zeros(len(I0), dtype=int)
 
     for it in range(cfg.newton_max_iter):
         if pts.shape[0] == 0:
             break
-        skipped += int((~ok).sum())
+        skipped += np.bincount(cell[~ok], minlength=len(I0))
         norm = np.abs(r).max(axis=1)
-        done = ok & (norm < tol)
-        converged.extend(pts[done])
+        done = ok & (norm < tol[cell])
+        converged.append(pts[done])
+        converged_cell.append(cell[done])
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         active = (ok & ~done & (np.abs(det) > 1e-300)
                   & np.all(np.isfinite(J.reshape(-1, 4)), axis=1))
         if not active.any():
             break
-        base, r, J, norm, det = pts[active], r[active], J[active], norm[active], det[active]
+        base, r, J, norm, det, cell = (
+            pts[active], r[active], J[active], norm[active], det[active], cell[active])
         step = np.empty_like(base)
         step[:, 0] = -(J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
         step[:, 1] = -(J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
 
-        pts = np.clip(base + step, *box)
-        r, _, ok, J, _ = _residual_batch(pts, inp, cav, response, jacobian=True)
+        pts = np.clip(base + step, box_lo[cell], box_hi[cell])
+        r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
         worse = np.nonzero(~(np.where(ok, np.abs(r).max(axis=1), np.inf) < norm))[0]
         if worse.size:
             m = worse.size
+            wc = cell[worse]
             damped = np.clip(base[worse] + lams[:, None, None] * step[worse],
-                             *box).reshape(-1, 2)
-            r_d, _, ok_d, J_d, _ = _residual_batch(damped, inp, cav, response, jacobian=True)
+                             box_lo[wc], box_hi[wc]).reshape(-1, 2)
+            r_d, _, ok_d, J_d, _ = _residual_batch(
+                damped, np.tile(I0[wc], (len(lams), 1)), cav, response, jacobian=True)
             norm_d = np.where(ok_d, np.abs(r_d).max(axis=1), np.inf).reshape(len(lams), m)
             improving = norm_d < norm[worse]
             choice = np.where(improving.any(axis=0), improving.argmax(axis=0), len(lams) - 1)
@@ -238,13 +271,15 @@ def _newton_roots(inp, cav, cfg, response, seeds, lo, hi):
             pts[worse], r[worse], ok[worse], J[worse] = (
                 damped[pick], r_d[pick], ok_d[pick], J_d[pick])
         if it >= 1:
-            keep = _merge_close(pts, cfg.dedup_radius)
-            pts, r, ok, J = pts[keep], r[keep], ok[keep], J[keep]
+            keep = _merge_close(pts, cfg.dedup_radius, cell)
+            pts, r, ok, J, cell = pts[keep], r[keep], ok[keep], J[keep], cell[keep]
 
-    if not converged:
-        return np.empty((0, 2)), skipped
-    roots = np.array(converged)
-    return roots[_merge_close(roots, cfg.dedup_radius)], skipped
+    roots = np.concatenate(converged) if converged else np.empty((0, 2))
+    root_cell = np.concatenate(converged_cell) if converged else np.empty(0, dtype=int)
+    order = np.argsort(root_cell, kind="stable")
+    roots, root_cell = roots[order], root_cell[order]
+    keep = _merge_close(roots, cfg.dedup_radius, root_cell)
+    return roots[keep], root_cell[keep], skipped
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -277,45 +312,115 @@ def classify(norm: float) -> tuple[str, bool]:
     return ("stable" if norm < 1.0 else "unstable"), False
 
 
-def stability_matrix(point, inp: InputPoint, cav: CavityParams, response):
-    """Linearized feedback matrix L, iteration-map Jacobian J, etas and residual at a root.
+def stability_matrix(pts, I0, cav: CavityParams, response):
+    """Linearized feedback matrices L, iteration-map Jacobians J, etas,
+    residuals and ok at points (n, 2) with inputs I0 (n, 2).
 
     One evaluation of the response gives eta, the residual and the exact
     d(eta)/dI. L follows the published linearization with the
     [1 + R_j eta_j]^2 denominator; J is the Jacobian of the round-trip map.
     """
-    pts = np.asarray(point, dtype=float).reshape(1, 2)
-    r, etas, ok, _, deta = _residual_batch(pts, inp, cav, response, jacobian=True)
-    if not ok[0]:
-        raise NoSolution(inp, skipped=1)
+    r, etas, ok, _, deta = _residual_batch(pts, I0, cav, response, jacobian=True)
     R = np.array([cav.R1, cav.R2])
-    I0 = np.array([inp.I1_0, inp.I2_0])
-    eta0 = etas[0]
-    L = (I0 * R / (1.0 + R * eta0) ** 2)[:, None] * deta[0]
-    J = np.diag(R * eta0) + (R * pts[0])[:, None] * deta[0]
-    return L, J, eta0, r[0]
+    L = (I0 * R / (1.0 + R * etas) ** 2)[:, :, None] * deta
+    J = (R * etas)[:, :, None] * np.eye(2) + (R * pts)[:, :, None] * deta
+    return L, J, etas, r, ok
 
 
-def _make_operating_point(point, inp, cav, response) -> OperatingPoint:
-    L, J, etas, r = stability_matrix(point, inp, cav, response)
-    # verdict from the dynamics-faithful quantity, published norm reported alongside
-    radius = spectral_radius(J)
-    stability, marginal = classify(radius)
-    I1, I2 = float(point[0]), float(point[1])
-    return OperatingPoint(
-        I1_in=I1,
-        I2_in=I2,
-        eta1=float(etas[0]),
-        eta2=float(etas[1]),
-        I1_out=float(etas[0]) * I1,
-        I2_out=float(etas[1]) * I2,
-        stability=stability,
-        marginal=marginal,
-        norm=spectral_norm(L),
-        residual=float(np.abs(r).max()),
-        gain=bool(etas[0] > 1.0 or etas[1] > 1.0),
-        jacobian_radius=radius,
-    )
+def _operating_points(pts, I0, cav, response) -> list[OperatingPoint | None]:
+    """Classified operating points at roots pts (n, 2) of inputs I0 (n, 2);
+    None where the response fails."""
+    L, J, etas, r, ok = stability_matrix(pts, I0, cav, response)
+    ops = []
+    for k in range(len(pts)):
+        if not ok[k]:
+            ops.append(None)
+            continue
+        # verdict from the dynamics-faithful quantity, published norm reported alongside
+        radius = spectral_radius(J[k])
+        stability, marginal = classify(radius)
+        I1, I2 = float(pts[k, 0]), float(pts[k, 1])
+        e1, e2 = float(etas[k, 0]), float(etas[k, 1])
+        ops.append(OperatingPoint(
+            I1_in=I1,
+            I2_in=I2,
+            eta1=e1,
+            eta2=e2,
+            I1_out=e1 * I1,
+            I2_out=e2 * I2,
+            stability=stability,
+            marginal=marginal,
+            norm=spectral_norm(L[k]),
+            residual=float(np.abs(r[k]).max()),
+            gain=bool(e1 > 1.0 or e2 > 1.0),
+            jacobian_radius=radius,
+        ))
+    return ops
+
+
+def solve_cells(
+    inputs: Sequence[InputPoint],
+    cav: CavityParams,
+    cfg: SolverConfig,
+    response,
+    extra_seeds: Sequence[Sequence[tuple[float, float]] | None] | None = None,
+) -> list[list[OperatingPoint] | NoSolution]:
+    """Operating points of many input pairs, solved as one batch.
+
+    Entry k is what find_all_solutions(inputs[k], ..., extra_seeds[k]) returns
+    (the operating points sorted by (I1_in, I2_in)) or the NoSolution it
+    raises. A cell's result does not depend on the other cells of the batch:
+    every evaluation is per point and every merge per cell; the batch only
+    shares the calls into the response (gain probe, Newton, re-verification).
+    """
+    n = len(inputs)
+    if n == 0:
+        return []
+    I0 = np.array([[inp.I1_0, inp.I2_0] for inp in inputs], dtype=float)
+    if cav.R1 == 0.0 and cav.R2 == 0.0:
+        # feedback absent: internal intensities equal the inputs exactly
+        ops = _operating_points(I0, I0, cav, response)
+        return [[op] if op else NoSolution(inp, skipped=1) for op, inp in zip(ops, inputs)]
+
+    grids = [_seed_grid(inp, cav, cfg) for inp in inputs]
+    # probe for gain: physical buildup bound assumes eta <= 1
+    probes = [seeds[:: max(len(seeds) // 32, 1)] for seeds, _, _ in grids]
+    probe_cell = np.repeat(np.arange(n), [len(p) for p in probes])
+    _, etas_probe, ok_probe = _residual_batch(np.concatenate(probes), I0[probe_cell],
+                                              cav, response)
+    seeds, seed_cell = [], []
+    lo, hi = np.empty((n, 2)), np.empty((n, 2))
+    for c, inp in enumerate(inputs):
+        sel = ok_probe & (probe_cell == c)
+        grid, lo[c], hi[c] = grids[c]
+        if sel.any() and np.nanmax(etas_probe[sel]) > 1.0 + 1e-9:
+            grid, lo[c], hi[c] = _seed_grid(inp, cav, cfg, widen=10.0)
+        extra = extra_seeds[c] if extra_seeds is not None else None
+        if extra is not None and len(extra):
+            grid = np.concatenate([np.asarray(extra, dtype=float).reshape(-1, 2), grid])
+        seeds.append(grid)
+        seed_cell.append(np.full(len(grid), c))
+
+    roots, root_cell, skipped = _newton_roots(
+        I0, lo, hi, np.concatenate(seeds), np.concatenate(seed_cell), cav, cfg, response)
+    ops = _operating_points(roots, I0[root_cell], cav, response)
+    results = []
+    for c, inp in enumerate(inputs):
+        mine = [ops[k] for k in np.nonzero(root_cell == c)[0]]
+        if not mine:
+            results.append(NoSolution(inp, skipped=int(skipped[c])))
+            continue
+        if any(op is None for op in mine):
+            results.append(NoSolution(inp, skipped=1))
+            continue
+        scale = max(inp.I1_0, inp.I2_0, 1.0)
+        mine = [op for op in mine if op.residual < 10.0 * cfg.tol * scale]
+        if not mine:
+            results.append(NoSolution(inp, skipped=int(skipped[c])))
+            continue
+        mine.sort(key=lambda op: (op.I1_in, op.I2_in))
+        results.append(mine)
+    return results
 
 
 def find_all_solutions(
@@ -329,36 +434,13 @@ def find_all_solutions(
 
     Damped Newton is launched from every node of a log-spaced seed grid (plus
     optional warm-start seeds); converged roots are deduplicated, re-verified
-    and classified. Raises NoSolution when nothing converges.
+    and classified. Raises NoSolution when nothing converges. This is the
+    one-cell case of solve_cells.
     """
-    if cav.R1 == 0.0 and cav.R2 == 0.0:
-        # feedback absent: internal intensities equal the inputs exactly
-        pt = np.array([inp.I1_0, inp.I2_0])
-        return [_make_operating_point(pt, inp, cav, response)]
-
-    seeds, lo, hi = _seed_grid(inp, cav, cfg)
-    # probe for gain: physical buildup bound assumes eta <= 1
-    _, etas_probe, ok_probe = _residual_batch(seeds[:: max(len(seeds) // 32, 1)], inp, cav, response)
-    if ok_probe.any() and np.nanmax(etas_probe[ok_probe]) > 1.0 + 1e-9:
-        seeds, lo, hi = _seed_grid(inp, cav, cfg, widen=10.0)
-
-    if extra_seeds is not None and len(extra_seeds):
-        seeds = np.concatenate([np.asarray(extra_seeds, dtype=float).reshape(-1, 2), seeds])
-
-    roots, skipped = _newton_roots(inp, cav, cfg, response, seeds, lo, hi)
-    if roots.shape[0] == 0:
-        raise NoSolution(inp, skipped=skipped)
-
-    scale = max(inp.I1_0, inp.I2_0, 1.0)
-    ops = []
-    for pt in roots:
-        op = _make_operating_point(pt, inp, cav, response)
-        if op.residual < 10.0 * cfg.tol * scale:
-            ops.append(op)
-    if not ops:
-        raise NoSolution(inp, skipped=skipped)
-    ops.sort(key=lambda op: (op.I1_in, op.I2_in))
-    return ops
+    result = solve_cells([inp], cav, cfg, response, [extra_seeds])[0]
+    if isinstance(result, NoSolution):
+        raise result
+    return result
 
 
 def iterate_map(
