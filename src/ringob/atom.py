@@ -222,17 +222,55 @@ def _commutator_superop(A: np.ndarray) -> np.ndarray:
     return np.kron(A, I3) - np.kron(I3, A.T)
 
 
-_TRACE_ROW = np.zeros(9, dtype=complex)
-_TRACE_ROW[[0, 4, 8]] = 1.0
-_TRACE_IDX = 8  # row of the (3,3) population equation, implied by the others
+# Real coordinates of a Hermitian unit-trace rho:
+# x = (rho_11, rho_22, Re rho_12, Im rho_12, Re rho_13, Im rho_13, Re rho_23, Im rho_23),
+# with rho_33 = 1 - rho_11 - rho_22. vec(rho) = _E33 + x @ _STATE_BASIS.
+_STATE_BASIS = np.zeros((8, 9), dtype=complex)
+_STATE_BASIS[0, [0, 8]] = 1.0, -1.0
+_STATE_BASIS[1, [4, 8]] = 1.0, -1.0
+for _k, (_i, _j) in enumerate(((0, 1), (0, 2), (1, 2))):
+    _STATE_BASIS[2 + 2 * _k, [3 * _i + _j, 3 * _j + _i]] = 1.0, 1.0
+    _STATE_BASIS[3 + 2 * _k, [3 * _i + _j, 3 * _j + _i]] = 1j, -1j
+_E33 = np.zeros(9, dtype=complex)
+_E33[8] = 1.0
+# the eight real equations: rows of vec(L rho), L = -i M, taken as
+# Re L_11, Re L_22, Re/Im L_12, Re/Im L_13, Re/Im L_23. For Hermitian rho,
+# L rho is Hermitian and traceless, so these imply the other ten.
+_EQ_ROWS = [0, 4, 1, 1, 2, 2, 5, 5]
+_EQ_IMAG = np.array([False, False, False, True, False, True, False, True])
+
+# points per stacked LAPACK call, bounding the memory of a large batch
+_CHUNK = 512
+
+
+def _real_equations(v: np.ndarray) -> np.ndarray:
+    """The eight real equations of L v = -i M v from the complex rows M v."""
+    w = -1j * v[_EQ_ROWS]
+    mask = _EQ_IMAG.reshape((-1,) + (1,) * (w.ndim - 1))
+    return np.where(mask, w.imag, w.real)
+
+
+def density_matrix(x) -> np.ndarray:
+    """Hermitian 3x3 density matrices (..., 3, 3) from real coordinates (..., 8)."""
+    x = np.asarray(x, dtype=float)
+    rho = np.empty(x.shape[:-1] + (3, 3), dtype=complex)
+    rho[..., 0, 0] = x[..., 0]
+    rho[..., 1, 1] = x[..., 1]
+    rho[..., 2, 2] = 1.0 - x[..., 0] - x[..., 1]
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        rho[..., i, j].real = rho[..., j, i].real = x[..., 2 + 2 * k]
+        rho[..., i, j].imag = x[..., 3 + 2 * k]
+        rho[..., j, i].imag = -x[..., 3 + 2 * k]
+    return rho
 
 
 class SteadyStateProblem:
-    """Vectorized stationary master equation [H, rho] + i*G*rho = 0.
+    """Vectorized stationary master equation [H, rho] + i*G*rho = 0, Tr rho = 1.
 
-    The 9x9 system matrix is linear in the Rabi frequencies, so the three
-    constituent matrices are precomputed once per AtomParams and batches of
-    drive points are solved with stacked LAPACK calls.
+    rho is Hermitian with unit trace, so the system is solved for its eight
+    real coordinates x (see density_matrix): A(Omega) x = b(Omega), with
+    A = A0 + Omega_1 A1 + Omega_2 A2 and b likewise, precomputed once per
+    AtomParams. Batches of drive points are solved with stacked LAPACK calls.
     """
 
     def __init__(self, atom: AtomParams):
@@ -245,105 +283,112 @@ class SteadyStateProblem:
         self._M0 = _commutator_superop(H0) + 1j * _relaxation_superop(atom)
         self._M1 = _commutator_superop(X1)
         self._M2 = _commutator_superop(X2)
-        # constrained variants: the redundant (3,3) population row replaced by
-        # the trace constraint (its residual is recovered from rows 0 and 4)
-        self._M0c = self._M0.copy()
-        self._M0c[_TRACE_IDX] = _TRACE_ROW
-        self._M1c = self._M1.copy()
-        self._M1c[_TRACE_IDX] = 0.0
-        self._M2c = self._M2.copy()
-        self._M2c[_TRACE_IDX] = 0.0
-        # x @ _dMcT stacks (dMc/d omega_1) x and (dMc/d omega_2) x
-        self._dMcT = np.concatenate([self._M1c.T, self._M2c.T], axis=1)
+        A = [_real_equations(M @ _STATE_BASIS.T) for M in (self._M0, self._M1, self._M2)]
+        b = [-_real_equations(M @ _E33) for M in (self._M0, self._M1, self._M2)]
+        self._A0, self._A1, self._A2 = A
+        self._b0, self._b1, self._b2 = b
+        # entries that depend on the drive: A is rebuilt only there
+        self._drive_entries = np.nonzero((self._A1 != 0) | (self._A2 != 0))
+        self._A1e = self._A1[self._drive_entries]
+        self._A2e = self._A2[self._drive_entries]
+        # (dA/d omega_j) x for j = 1, 2 in one product, and db/d omega_j as columns
+        self._dA = np.concatenate([self._A1, self._A2])
+        self._db = np.stack([self._b1, self._b2], axis=1)
 
     def full_matrix(self, omega1: float, omega2: float) -> np.ndarray:
-        """Unconstrained 9x9 stationary operator (trace-degenerate)."""
+        """Unconstrained complex 9x9 stationary operator (trace-degenerate)."""
         return self._M0 + omega1 * self._M1 + omega2 * self._M2
+
+    def real_matrix(self, omega1: float, omega2: float) -> np.ndarray:
+        """The 8x8 real system matrix A(Omega) of the coordinates x."""
+        return self._A0 + omega1 * self._A1 + omega2 * self._A2
 
     def solve_batch(self, omega1, omega2, jacobian=False):
         """Solve for arrays of drive points.
 
-        Returns (rho, residual, ok): rho has shape (n, 3, 3); residual is the
-        max-abs residual of the full (un-replaced) stationary system; ok marks
-        entries that solved cleanly below RESIDUAL_TOL.
+        Returns (x, residual, ok): x has shape (n, 8), the real coordinates of
+        rho (see density_matrix); residual is the max-abs residual of the full
+        stationary system; ok marks entries that solved cleanly below
+        RESIDUAL_TOL. Each point's arithmetic is independent of the others in
+        the batch.
 
-        With jacobian=True a fourth value drho of shape (n, 3, 3, 2) follows,
-        drho[..., j] = d rho / d omega_{j+1}. It comes from differentiating the
-        constrained system Mc x = e_8: dx/d omega_j = -Mc^-1 (dMc/d omega_j) x,
+        With jacobian=True a fourth value dx of shape (n, 8, 2) follows,
+        dx[..., j] = dx / d omega_{j+1} = A^-1 (db/d omega_j - dA/d omega_j x),
         one more batched solve with the same matrices. NaN where not ok.
         """
         om1 = np.atleast_1d(np.asarray(omega1, dtype=float))
         om2 = np.atleast_1d(np.asarray(omega2, dtype=float))
         om1, om2 = np.broadcast_arrays(om1, om2)
         n = om1.shape[0]
-
-        Mc = (
-            self._M0c[None, :, :]
-            + om1[:, None, None] * self._M1c[None, :, :]
-            + om2[:, None, None] * self._M2c[None, :, :]
-        )
-        rhs = np.zeros((n, 9, 1), dtype=complex)
-        rhs[:, _TRACE_IDX, 0] = 1.0
-
-        x = np.empty((n, 9), dtype=complex)
-        ok = np.ones(n, dtype=bool)
-        try:
-            x[:] = np.linalg.solve(Mc, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            for i in range(n):
-                try:
-                    x[i] = np.linalg.solve(Mc[i], rhs[i])[..., 0]
-                except np.linalg.LinAlgError:
-                    x[i] = np.nan
-                    ok[i] = False
-
-        ok &= np.all(np.isfinite(x), axis=1)
-
+        x = np.full((n, 8), np.nan)
         residual = np.full(n, np.inf)
-        good = np.nonzero(ok)[0]
-        if good.size:
-            residual[good] = self._residual_of(Mc[good], x[good], rhs[good, :, 0])
-            # one pass of iterative refinement where the first solve is loose
-            rough = good[residual[good] > 1e-12]
-            if rough.size:
-                rc = rhs[rough, :, 0] - np.matmul(Mc[rough], x[rough, :, None])[..., 0]
+        ok = np.zeros(n, dtype=bool)
+        dx = np.full((n, 8, 2), np.nan) if jacobian else None
+        for s in range(0, n, _CHUNK):
+            c = slice(s, s + _CHUNK)
+            self._solve_chunk(om1[c], om2[c], x[c], residual[c], ok[c],
+                              dx[c] if jacobian else None)
+        if not jacobian:
+            return x, residual, ok
+        return x, residual, ok, dx
+
+    def _solve_chunk(self, om1, om2, x, residual, ok, dx):
+        """solve_batch on one chunk, writing into the given views."""
+        A = np.empty((len(om1), 8, 8))
+        A[:] = self._A0
+        A[(slice(None),) + self._drive_entries] = (
+            self._A0[self._drive_entries] + om1[:, None] * self._A1e + om2[:, None] * self._A2e)
+        b = (self._b0 + om1[:, None] * self._b1 + om2[:, None] * self._b2)[..., None]
+        try:
+            xs = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            xs = np.full_like(b, np.nan)
+            for i in range(len(A)):
                 try:
-                    x[rough] += np.linalg.solve(Mc[rough], rc[..., None])[..., 0]
-                    residual[rough] = self._residual_of(Mc[rough], x[rough], rhs[rough, :, 0])
+                    xs[i] = np.linalg.solve(A[i], b[i])
                 except np.linalg.LinAlgError:
                     pass
-        ok &= residual < RESIDUAL_TOL
-        if not jacobian:
-            return x.reshape(n, 3, 3), residual, ok
-        dx = np.full((n, 9, 2), np.nan, dtype=complex)
-        if ok.any():
-            dMx = (x[ok] @ self._dMcT).reshape(-1, 2, 9).transpose(0, 2, 1)
-            dx[ok] = -np.linalg.solve(Mc[ok], dMx)
-        return x.reshape(n, 3, 3), residual, ok, dx.reshape(n, 3, 3, 2)
+        good = np.all(np.isfinite(xs[..., 0]), axis=1)
+        # a full slice keeps the common all-good case free of copies
+        sel = slice(None) if good.all() else good
+        residual[sel] = self._residual_of(A[sel], xs[sel], b[sel])
+        # one pass of iterative refinement where the first solve is loose
+        rough = np.nonzero(good & (residual > 1e-12))[0]
+        if rough.size:
+            rc = b[rough] - np.matmul(A[rough], xs[rough])
+            try:
+                xs[rough] += np.linalg.solve(A[rough], rc)
+                residual[rough] = self._residual_of(A[rough], xs[rough], b[rough])
+            except np.linalg.LinAlgError:
+                pass
+        x[:] = xs[..., 0]
+        ok[:] = residual < RESIDUAL_TOL
+        if dx is not None and ok.any():
+            sel = slice(None) if ok.all() else ok
+            dAx = np.matmul(self._dA, xs[sel]).reshape(-1, 2, 8).transpose(0, 2, 1)
+            dx[sel] = np.linalg.solve(A[sel], self._db - dAx)
 
     @staticmethod
-    def _residual_of(Mc, x, rhs):
-        """Max-abs residual of the full stationary system from the constrained one.
+    def _residual_of(A, x, b):
+        """Max-abs residual of the full complex stationary system.
 
-        The replaced (3,3) population row is the negated sum of the other two
-        diagonal rows (trace preservation), so it never has to be rebuilt.
+        Its entries are those of L rho: the diagonal ones are r_0, r_1 and
+        -(r_0 + r_1) (L is traceless), the off-diagonal ones have modulus
+        |Re + i Im| of each coherence equation pair.
         """
-        r = np.matmul(Mc, x[..., None])[..., 0] - rhs
-        r8 = -(r[:, 0] + r[:, 4])
-        return np.maximum(np.abs(r[:, :8]).max(axis=1), np.abs(r8))
+        r = (np.matmul(A, x) - b)[..., 0]
+        diag = np.maximum(np.abs(r[:, :2]).max(axis=1), np.abs(r[:, 0] + r[:, 1]))
+        return np.maximum(diag, np.hypot(r[:, 2::2], r[:, 3::2]).max(axis=1))
 
     def solve(self, omega1: float, omega2: float) -> DensityMatrix:
-        rho, residual, ok = self.solve_batch([omega1], [omega2])
+        x, residual, ok = self.solve_batch([omega1], [omega2])
         if not ok[0]:
-            M = self.full_matrix(omega1, omega2)
-            Mc = M.copy()
-            Mc[_TRACE_IDX] = _TRACE_ROW
-            cond = float(np.linalg.cond(Mc))
+            cond = float(np.linalg.cond(self.real_matrix(omega1, omega2)))
             raise SingularSteadyState(
                 "stationary system is singular or failed the residual check",
                 cond=cond,
             )
-        return DensityMatrix(rho=rho[0], residual=float(residual[0]))
+        return DensityMatrix(rho=density_matrix(x[0]), residual=float(residual[0]))
 
 
 def steady_state(atom: AtomParams, drive: DriveParams) -> DensityMatrix:
@@ -395,19 +440,24 @@ def absorption_factor(chi: complex, constants: OpticalConstants) -> AbsorptionRe
     return AbsorptionResult(eta=eta, gain=eta > 1.0)
 
 
-def _two_level_denominator(omega1, omega2, delta, gamma21, Gamma21):
-    return 4.0 * omega1**2 * Gamma21 - gamma21 * ((omega2 - delta) ** 2 + Gamma21**2)
+def _two_level_im_rho12(omega1, omega2, delta, gamma21, Gamma21):
+    """The closed-form two-level Im(rho_12), its denominator and the scale of
+    the pole test, elementwise on arrays or floats (inf or nan at the pole)."""
+    detuned = gamma21 * ((omega2 - delta) ** 2 + Gamma21**2)
+    drive = 4.0 * omega1**2 * Gamma21
+    den = drive - detuned
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(omega1 * gamma21 * Gamma21, den), den, drive + detuned
 
 
 def two_level_im_rho12(
     omega1: float, omega2: float, delta: float, gamma21: float, Gamma21: float
 ) -> float:
     """Closed-form two-level approximation of Im(rho_12), implemented verbatim."""
-    den = _two_level_denominator(omega1, omega2, delta, gamma21, Gamma21)
-    scale = 4.0 * omega1**2 * Gamma21 + gamma21 * ((omega2 - delta) ** 2 + Gamma21**2)
+    im12, den, scale = _two_level_im_rho12(omega1, omega2, delta, gamma21, Gamma21)
     if den == 0 or abs(den) < 1e-14 * scale:
         raise DegenerateDenominator("two-level expression evaluated at its pole")
-    return omega1 * gamma21 * Gamma21 / den
+    return float(im12)
 
 
 def two_level_im_rho32(
@@ -418,23 +468,21 @@ def two_level_im_rho32(
     gamma23: float,
     Gamma21: float,
 ) -> float:
-    """Closed-form two-level approximation of Im(rho_32).
-
-    Equals two_level_im_rho12 * gamma21*omega1 / (gamma23*omega2) identically.
+    """Closed-form two-level approximation of Im(rho_32): the same two-level
+    expression, two_level_im_rho12 * gamma21*omega1 / (gamma23*omega2).
     """
     if omega2 <= 0 or gamma23 <= 0:
         raise ValueError("omega2 and gamma23 must be positive")
-    den = _two_level_denominator(omega1, omega2, delta, gamma21, Gamma21)
-    scale = 4.0 * omega1**2 * Gamma21 + gamma21 * ((omega2 - delta) ** 2 + Gamma21**2)
-    if den == 0 or abs(den) < 1e-14 * scale:
-        raise DegenerateDenominator("two-level expression evaluated at its pole")
-    return omega1**2 * gamma21**2 * Gamma21 / (omega2 * gamma23 * den)
+    im12 = two_level_im_rho12(omega1, omega2, delta, gamma21, Gamma21)
+    return im12 * gamma21 * omega1 / (gamma23 * omega2)
 
 
 # gain exponents are capped here so a runaway (nonphysical) amplifying branch
 # yields a huge but finite residual instead of overflow
 _ETA_EXP_CAP = 100.0
 _EYE2 = np.eye(2)
+# sign of Im rho_21 = -Im rho_12 and Im rho_23, as a column over the two modes
+_CONJ_21 = np.array([[-1.0], [1.0]])
 
 
 class CellResponse:
@@ -458,13 +506,19 @@ class CellResponse:
         """Excited-ground coherences (rho_21, rho_23) as a (2, n) array and the ok mask.
 
         With jacobian=True a third value dcoh of shape (2, 2, n) follows,
-        dcoh[i, j] = d coh_i / d omega_j.
+        dcoh[i, j] = d coh_i / d omega_j. Both are read off the real
+        coordinates: rho_21 = Re rho_12 - i Im rho_12, rho_23 = Re + i Im.
         """
-        rho, _, ok, *drho = self.problem.solve_batch(om1, om2, jacobian=jacobian)
-        coh = rho[:, 1, ::2].T
+        x, _, ok, *dx = self.problem.solve_batch(om1, om2, jacobian=jacobian)
+        coh = np.empty((2, len(x)), dtype=complex)
+        coh.real = x[:, 2::4].T
+        coh.imag = _CONJ_21 * x[:, 3::4].T
         if not jacobian:
             return coh, ok
-        return coh, ok, drho[0][:, 1, ::2].transpose(1, 2, 0)
+        dcoh = np.empty((2, 2, len(x)), dtype=complex)
+        dcoh.real = dx[0][:, 2::4].transpose(1, 2, 0)
+        dcoh.imag = _CONJ_21[:, :, None] * dx[0][:, 3::4].transpose(1, 2, 0)
+        return coh, ok, dcoh
 
     def etas(self, I1, I2, jacobian=False):
         """eta arrays for intensity arrays; ok=False where I<=0 or the solve fails.
@@ -513,24 +567,26 @@ class ApproxCellResponse(CellResponse):
     """
 
     def coherences(self, om1, om2, jacobian=False):
-        """i * Im(rho_21), i * Im(rho_23) in closed form; layout as in CellResponse."""
+        """i * Im(rho_21), i * Im(rho_23) in closed form; layout as in CellResponse.
+
+        Not ok where the two-level denominator is <= 0: there the closed form
+        has the sign of gain, which a passive cell never has.
+        """
         g21 = self.atom.gamma[1, 0]
         g23 = self.atom.gamma[1, 2]
         G21 = self.atom.Gamma[0, 1]
         delta = self.atom.eps1
-        den = _two_level_denominator(om1, om2, delta, g21, G21)
-        ok = den != 0
-        den = np.where(ok, den, 1.0)
-        im12 = om1 * g21 * G21 / den
-        im32 = om1**2 * g21**2 * G21 / (om2 * g23 * den) if g23 > 0 else np.zeros_like(im12)
-        coh = -1j * np.array([im12, im32])
+        im12, den, _ = _two_level_im_rho12(om1, om2, delta, g21, G21)
+        ok = den > 0
+        im12, den = np.where(ok, im12, 0.0), np.where(ok, den, 1.0)
+        # Im(rho_32) = q * Im(rho_12), as in two_level_im_rho32
+        q = om1 * g21 / (om2 * g23) if g23 > 0 else np.zeros_like(im12)
+        coh = -1j * np.array([im12, q * im12])
         if not jacobian:
             return coh, ok
         d12 = np.array([
             g21 * G21 * (den - 8.0 * G21 * om1**2) / den**2,
             2.0 * g21 * (om2 - delta) * im12 / den,
         ])
-        # im32 = q * im12 with q = om1 g21 / (om2 g23)
-        q = om1 * g21 / (om2 * g23) if g23 > 0 else np.zeros_like(im12)
         d32 = q * (d12 + np.array([im12 / om1, -im12 / om2]))
         return coh, ok, -1j * np.array([d12, d32])

@@ -30,6 +30,7 @@ from .config import ParseError, RunConfig, ValidationError, load_config
 from .domain import (
     BOUNDARY_COLUMNS,
     MAP_COLUMNS,
+    REGION_FAILED,
     boundary_rows,
     map_domain,
     map_rows,
@@ -177,6 +178,13 @@ def cmd_map(cfg: RunConfig, emitter: _Emitter) -> int:
         eta_transparent=cfg.thresholds.eta_transparent,
         threads=cfg.threads,
     )
+    failed = int((bmap.region == REGION_FAILED).sum())
+    print(f"map: {bmap.region.size} cells, {failed} failed, "
+          f"{bmap.bistable_cells()} bistable", file=sys.stderr)
+    if failed == bmap.region.size:
+        print("numerical failure: no cell of the map has an operating point",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     emitter.emit("map", MAP_COLUMNS, map_rows(bmap))
     emitter.emit("boundary", BOUNDARY_COLUMNS, boundary_rows(bmap))
     return EXIT_OK
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", dest="output_dir", help="output directory")
         p.add_argument("--threads", type=_number(int),
-                       help="worker threads for grid scans (0 = auto)")
+                       help="groups of cells per map row, one thread each (0 = one per CPU)")
         p.add_argument("--format", help="csv or json")
 
     p = sub.add_parser("steady", help="steady state for one (omega1, omega2)")

@@ -144,6 +144,60 @@ def _residual_batch(pts, I0, cav, response, jacobian=False):
     return r, etas, ok, J, deta[0]
 
 
+def _ranges(starts, stops):
+    """Concatenated ranges [starts[k], stops[k]) and the k of each element."""
+    count = np.maximum(stops - starts, 0)
+    owner = np.repeat(np.arange(len(starts)), count)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return starts[owner] + offset, owner
+
+
+def _close_pairs(pts: np.ndarray, cell: np.ndarray, radius: float):
+    """Index pairs (earlier, later) of points of the same cell that lie within
+    relative `radius` of each other in both coordinates."""
+    n = len(pts)
+    mag = np.maximum(np.abs(pts), 1e-30)
+    # the log magnitudes of a close pair's first coordinates (floored at
+    # 1e-30) differ by at most -log1p(-radius), so they share a bucket of
+    # twice that width or sit in adjacent ones; its second coordinates differ
+    # by at most radius / (1 - radius) * (|y| + 1e-30), doubled against rounding
+    if radius < 1.0:
+        width = max(-2.0 * np.log1p(-radius), 1e-6)
+        reach = 2.0 * radius / (1.0 - radius)
+    else:
+        width = reach = np.inf
+    bucket = np.floor(np.log(mag[:, 0]) / width)
+    # number the (cell, bucket) groups in order, skipping a number after a
+    # group whose successor is not the next bucket of the same cell
+    by = np.lexsort((bucket, cell))
+    cs, bs = cell[by], bucket[by]
+    same_cell = cs[1:] == cs[:-1]
+    step = np.where(same_cell & (bs[1:] == bs[:-1]), 0,
+                    np.where(same_cell & (bs[1:] == bs[:-1] + 1), 1, 2))
+    group = np.empty(n)
+    group[by] = np.concatenate([[0], np.cumsum(step)])
+    # numpy orders complex numbers lexically: these keys sort by group, then y
+    key = np.empty(n, dtype=complex)
+    key.real, key.imag = group, pts[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    spread = reach * (np.abs(key.imag) + 1e-30)
+    # partners: later in the same group up to y + spread, and anywhere within
+    # y -/+ spread in the next group
+    probe = key.copy()
+    probe.imag = key.imag + spread
+    same, owner = _ranges(np.arange(1, n + 1), np.searchsorted(key, probe, side="right"))
+    probe.real += 1.0
+    stop = np.searchsorted(key, probe, side="right")
+    probe.imag = key.imag - spread
+    nxt, owner_nxt = _ranges(np.searchsorted(key, probe, side="left"), stop)
+    a = order[np.concatenate([owner, owner_nxt])]
+    b = order[np.concatenate([same, nxt])]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    close = np.all(np.abs(pts[a] - pts[b]) <= radius * np.maximum(mag[a], mag[b]), axis=1)
+    return a[close], b[close]
+
+
 def _merge_close(pts: np.ndarray, radius: float, cell=None) -> np.ndarray:
     """Indices of the points kept, in order, when every point within relative
     `radius` of an earlier kept point of the same cell is dropped.
@@ -153,48 +207,30 @@ def _merge_close(pts: np.ndarray, radius: float, cell=None) -> np.ndarray:
     kept); pairs that straddle a bucket edge are left to the exact pass.
     """
     n = len(pts)
-    cell = np.zeros(n, dtype=np.intp) if cell is None else np.asarray(cell)
     idx = np.arange(n)
-    big = np.bincount(cell)[cell] > 256 if n else np.zeros(0, dtype=bool)
+    if n == 0:
+        return idx
+    cell = np.zeros(n, dtype=np.intp) if cell is None else np.asarray(cell)
+    big = np.bincount(cell)[cell] > 256
     if big.any():
         keys = np.floor(np.log(np.maximum(np.abs(pts[big]), 1e-300))
                         / max(radius, 1e-12) / 4.0)
         _, first = np.unique(np.column_stack([cell[big], keys]), axis=0,
                              return_index=True)
         idx = np.sort(np.concatenate([idx[~big], idx[big][first]]))
-    cand = pts[idx]
-    mag = np.maximum(np.abs(cand), 1e-30)
-    # candidate pairs: same cell and first coordinates no further apart than
-    # a close pair can be (|a - b| <= radius * max(|a|, |b|) bounds b - a by
-    # radius * (|a| + 1e-30) / (1 - radius); doubled against rounding). The
-    # cell and coordinate form a complex key, which numpy orders lexically.
-    key = np.empty(len(idx), dtype=complex)
-    key.real = cell[idx]
-    key.imag = cand[:, 0]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    reach = 2.0 * radius / (1.0 - radius) if radius < 1.0 else np.inf
-    bound = key.copy()
-    bound.imag = key.imag + reach * (np.abs(key.imag) + 1e-30)
-    end = np.searchsorted(key, bound, side="right")
-    count = end - np.arange(len(idx)) - 1
-    first = np.repeat(np.arange(len(idx)), count)
-    second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    a, b = np.minimum(order[first], order[second]), np.maximum(order[first], order[second])
-    close = np.all(np.abs(cand[a] - cand[b]) <= radius * np.maximum(mag[a], mag[b]), axis=1)
-    earlier, later = a[close], b[close]
+    earlier, later = _close_pairs(pts[idx], cell[idx], radius)
     # greedy in index order: a point is kept iff no earlier kept point is
     # close to it; decided in rounds, each settling at least the first open point
     kept = np.ones(len(idx), dtype=bool)
     kept[later] = False
-    open_ = ~kept
-    while open_.any():
+    undecided = ~kept
+    while undecided.any():
         hit = np.zeros(len(idx), dtype=bool)
         hit[later[kept[earlier]]] = True
         waiting = np.zeros(len(idx), dtype=bool)
-        waiting[later[open_[earlier]]] = True
-        kept |= open_ & ~hit & ~waiting
-        open_ &= waiting & ~hit
+        waiting[later[undecided[earlier]]] = True
+        kept |= undecided & ~hit & ~waiting
+        undecided &= waiting & ~hit
     return idx[kept]
 
 
@@ -407,19 +443,13 @@ def solve_cells(
     results = []
     for c, inp in enumerate(inputs):
         mine = [ops[k] for k in np.nonzero(root_cell == c)[0]]
-        if not mine:
-            results.append(NoSolution(inp, skipped=int(skipped[c])))
-            continue
         if any(op is None for op in mine):
             results.append(NoSolution(inp, skipped=1))
             continue
         scale = max(inp.I1_0, inp.I2_0, 1.0)
-        mine = [op for op in mine if op.residual < 10.0 * cfg.tol * scale]
-        if not mine:
-            results.append(NoSolution(inp, skipped=int(skipped[c])))
-            continue
-        mine.sort(key=lambda op: (op.I1_in, op.I2_in))
-        results.append(mine)
+        mine = sorted((op for op in mine if op.residual < 10.0 * cfg.tol * scale),
+                      key=lambda op: (op.I1_in, op.I2_in))
+        results.append(mine or NoSolution(inp, skipped=int(skipped[c])))
     return results
 
 

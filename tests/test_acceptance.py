@@ -381,6 +381,11 @@ def test_criterion_10_approx_comparison(tmp_path_factory):
     assert main(["approx", "--config", cfg_path, "--out", out]) == EXIT_OK
     for stem in ("approx_table", "map_exact", "map_approx"):
         assert os.path.exists(os.path.join(out, f"{stem}.csv"))
+    # a passive cell never amplifies: eta > 1 only in a cell labelled failed
+    header, rows = read_map_csv(os.path.join(out, "map_approx.csv"))
+    idx = {name: k for k, name in enumerate(header)}
+    for r in rows:
+        assert r[idx["region"]] == "failed" or float(r[idx["max_eta"]]) <= 1.0, r
     header, rows = read_map_csv(os.path.join(out, "approx_table.csv"))
     idx = {name: k for k, name in enumerate(header)}
     devs = [float(r[idx["rel_dev_12"]]) for r in rows]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringob import atom as atom_module
 from ringob.atom import (
     ApproxCellResponse,
     AtomParams,
@@ -21,6 +22,7 @@ from ringob.atom import (
     absorption_factor,
     apply_relaxation,
     build_hamiltonian,
+    density_matrix,
     steady_state,
     susceptibility,
     two_level_im_rho12,
@@ -149,12 +151,37 @@ class TestSteadyState:
         problem = SteadyStateProblem(atom)
         om1 = np.array([0.5, 1.0, 2.0])
         om2 = np.array([0.2, 1.0, 0.1])
-        rho, res, ok = problem.solve_batch(om1, om2)
+        x, res, ok = problem.solve_batch(om1, om2)
+        rho = density_matrix(x)
         assert ok.all()
         for k in range(3):
             dm = steady_state(atom, DriveParams(float(om1[k]), float(om2[k])))
             assert np.abs(rho[k] - dm.rho).max() < 1e-12
             assert res[k] < 1e-10
+
+    def test_batch_independent_of_chunking(self, monkeypatch):
+        """2,000 points in one call, point by point and in chunks of 7 or
+        4,096 give the same bits, also around a singular point whose chunk
+        falls back to per-point solves; all match the null-space oracle."""
+        atom = AtomParams()
+        problem = SteadyStateProblem(atom)
+        rng = np.random.default_rng(3)
+        om1, om2 = np.exp(rng.uniform(np.log(0.05), np.log(10.0), (2, 2000)))
+        om1[7] = om2[7] = 0.0
+        whole = problem.solve_batch(om1, om2, jacobian=True)
+        assert whole[2].sum() == 1999 and not whole[2][7]
+        single = [problem.solve_batch(om1[k:k + 1], om2[k:k + 1], jacobian=True)
+                  for k in range(2000)]
+        for a, parts in zip(whole, zip(*single)):
+            np.testing.assert_array_equal(a, np.concatenate(parts))
+        for chunk in (7, 4096):
+            monkeypatch.setattr(atom_module, "_CHUNK", chunk)
+            for a, b in zip(whole, problem.solve_batch(om1, om2, jacobian=True)):
+                np.testing.assert_array_equal(a, b)
+        rho = density_matrix(whole[0])
+        for k in np.nonzero(whole[2])[0]:
+            oracle = nullspace_steady_state(atom, DriveParams(om1[k], om2[k]))
+            assert np.abs(rho[k] - oracle).max() < 1e-12
 
     def test_gauge_symmetry_sign_flip(self):
         # |rho| entries are invariant under Omega_1 -> -Omega_1 is not
@@ -279,6 +306,15 @@ class TestCellResponse:
         assert ok.all()
         assert (e1 > 0).all() and (e2 > 0).all()
         assert (e1 <= 1.0 + 1e-12).all()
+
+    def test_approx_fails_where_closed_form_has_gain_sign(self):
+        # the two-level denominator is negative here: the closed form gives
+        # Im rho_21 > 0 (gain, eta ~ 1e34) where the exact value is < 0
+        resp = ApproxCellResponse(AtomParams(), OpticalConstants())
+        _, _, ok = resp.etas(0.01, 0.05)
+        assert not ok[0]
+        exact = CellResponse(AtomParams(), OpticalConstants())
+        assert exact.coherences(np.array([0.1]), np.sqrt([0.05]))[0][0, 0].imag < 0
 
     def test_strong_drive_transparency(self):
         # saturated transition: eta_1 approaches 1 at very strong drive

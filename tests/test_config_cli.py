@@ -295,6 +295,27 @@ class TestCli:
         bheader, _ = read_table(os.path.join(out, "boundary.csv"))
         assert bheader == ["chain_id", "vertex_index", "I1_0", "I2_0"]
 
+    def test_map_summary_on_stderr(self, small_config, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["map", "--config", small_config, "--out", out]) == EXIT_OK
+        _, rows = read_table(os.path.join(out, "map.csv"))
+        failed = sum(r[6] == "failed" for r in rows)
+        bistable = sum(r[6] == "bistable" for r in rows)
+        assert capsys.readouterr().err == (
+            f"map: 36 cells, {failed} failed, {bistable} bistable\n")
+
+    def test_map_all_cells_failed_exit_2(self, tmp_path, capsys):
+        # one Newton iteration converges nowhere, so every cell fails
+        cfg = dict(SMALL, solver={"seed_grid": 8, "newton_max_iter": 1})
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["map", "--config", str(cfgp), "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("map: 36 cells, 36 failed, 0 bistable\n")
+        assert "numerical failure" in err
+        assert not (out / "map.csv").exists()
+
     def test_sweep_emits_traces_and_jumps(self, small_config, tmp_path):
         out = str(tmp_path / "o")
         assert main(["sweep", "--config", small_config, "--out", out]) == EXIT_OK

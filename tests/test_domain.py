@@ -133,6 +133,16 @@ class TestMapping:
         assert map_rows(m1) == map_rows(m8)
         assert boundary_rows(m1) == boundary_rows(m8)
 
+    def test_uneven_groups(self):
+        # a 7-cell row splits into groups of 3, 2 and 2 cells on 3 threads
+        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=8,
+                        i2_min=0.5, i2_max=2.0, i2_steps=7)
+        m1 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=1)
+        m3 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=3)
+        assert m1.bistable_cells() > 0
+        assert map_rows(m1) == map_rows(m3)
+        assert boundary_rows(m1) == boundary_rows(m3)
+
     def test_failed_label(self):
         class Broken:
             def etas(self, I1, I2, jacobian=False):

@@ -18,6 +18,7 @@ from ringob.feedback import (
     find_all_solutions,
     iterate_map,
     residual,
+    solve_cells,
     spectral_norm,
     spectral_radius,
 )
@@ -289,3 +290,111 @@ class TestMergeClose:
         assert len(np.unique(keys, axis=0)) > 2048
         assert (keys[3000:, 0] != keys[:3000:10, 0]).all()
         np.testing.assert_array_equal(_merge_close(pts, radius), np.arange(3000))
+
+
+def merge_close_reference(pts, radius):
+    """The one-cell dense merge, kept as the reference of _merge_close: indices
+    kept, in order, when every point within relative `radius` of an earlier
+    kept point is dropped, after the rounded-log pre-merge of > 256 points."""
+    n = len(pts)
+    if n > 256:
+        keys = np.floor(np.log(np.maximum(np.abs(pts), 1e-300)) / max(radius, 1e-12) / 4.0)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        idx = np.sort(first)
+    else:
+        idx = np.arange(n)
+    cand = pts[idx]
+    mag = np.maximum(np.abs(cand), 1e-30)
+    close = np.all(np.abs(cand[:, None] - cand[None])
+                   <= radius * np.maximum(mag[:, None], mag[None]), axis=2)
+    keep = np.ones(len(idx), dtype=bool)
+    for k in range(len(idx)):
+        if keep[k]:
+            keep &= ~close[k]
+            keep[k] = True
+    return idx[keep]
+
+
+class TestBatchedMerge:
+    def test_matches_per_cell_reference(self):
+        """Interleaved cells with clusters shared between cells,
+        bucket-straddling pairs and two cells above the 256-point pre-merge
+        threshold."""
+        rng = np.random.default_rng(11)
+        radius = 1e-4
+        centres = np.exp(rng.uniform(-3, 3, (80, 2)))
+        parts, cells = [], []
+        for c, size in enumerate((40, 600, 1, 120, 300)):
+            pts = centres[rng.integers(0, len(centres), size)]
+            pts = pts * np.exp(rng.normal(0.0, radius, pts.shape))
+            # a partner just across a pre-merge bucket edge
+            edge = np.exp(np.ceil(np.log(pts[:1]) / (4 * radius)) * 4 * radius)
+            pts = np.concatenate([pts, edge * (1 + 0.1 * radius), edge * (1 - 0.1 * radius)])
+            parts.append(pts)
+            cells.append(np.full(len(pts), c))
+        pts, cell = np.concatenate(parts), np.concatenate(cells)
+        shuffle = rng.permutation(len(pts))
+        pts, cell = pts[shuffle], cell[shuffle]
+        expected = np.sort(np.concatenate([
+            np.nonzero(cell == c)[0][merge_close_reference(pts[cell == c], radius)]
+            for c in range(5)]))
+        got = _merge_close(pts, radius, cell)
+        np.testing.assert_array_equal(got, expected)
+        assert np.bincount(cell)[1] > 256 and len(got) < len(pts)
+
+    @pytest.mark.parametrize("radius", [1e-4, 0.3, 1.5])
+    def test_one_cell_matches_reference(self, radius):
+        rng = np.random.default_rng(5)
+        pts = rng.choice([-1.0, 1.0], (400, 2)) * np.exp(rng.normal(0.0, 2 * radius, (400, 2)))
+        pts[::7] = 0.0
+        np.testing.assert_array_equal(_merge_close(pts, radius),
+                                      merge_close_reference(pts, radius))
+
+
+def assert_same_results(batched, single):
+    for got, want in zip(batched, single):
+        if isinstance(want, NoSolution):
+            assert isinstance(got, NoSolution) and str(got) == str(want)
+        else:
+            assert got == want       # every field, bit for bit, same order
+
+
+def one_cell(inp, cav, cfg, response, seeds):
+    try:
+        return find_all_solutions(inp, cav, cfg, response, extra_seeds=seeds)
+    except NoSolution as exc:
+        return exc
+
+
+class TestSolveCells:
+    def test_acceptance_row_matches_one_cell_solves(self, response):
+        """Row I1_0 = 2.674 of the 12x12 acceptance window (one three-root
+        cell), warm-started from the row below as the map does."""
+        cav, cfg = CavityParams(), SolverConfig(seed_grid=12)
+        a1, a2 = np.geomspace(0.5, 20.0, 12), np.geomspace(5e-3, 2.0, 12)
+        below = solve_cells([InputPoint(float(a1[4]), float(v)) for v in a2], cav, cfg,
+                            response)
+        seeds = [[(op.I1_in, op.I2_in) for op in ops] for ops in below]
+        inputs = [InputPoint(float(a1[5]), float(v)) for v in a2]
+        batched = solve_cells(inputs, cav, cfg, response, seeds)
+        assert [len(ops) for ops in batched].count(3) == 1
+        assert_same_results(batched, [one_cell(inp, cav, cfg, response, s)
+                                      for inp, s in zip(inputs, seeds)])
+
+    def test_failed_cell_leaves_others(self):
+        """A stub that fails below I2 = 1: the cell whose root lies there has
+        no solution, the others keep their three roots."""
+
+        class Gapped(SigmoidResponse):
+            def etas(self, I1, I2, jacobian=False):
+                out = super().etas(I1, I2, jacobian)
+                return out[:2] + (out[2] & (np.asarray(I2) >= 1.0),) + out[3:]
+
+        cav, cfg = CavityParams(R1=0.9, R2=0.5), SolverConfig(seed_grid=16)
+        inputs = [InputPoint(3.2, v) for v in (0.5, 1.0, 2.0, 4.0)]
+        seeds = [None, [(3.5, 1.4)], None, [(4.0, 5.3), (9.0, 5.3)]]
+        batched = solve_cells(inputs, cav, cfg, Gapped(), seeds)
+        assert isinstance(batched[0], NoSolution)
+        assert [len(ops) for ops in batched[1:]] == [3, 3, 3]
+        assert_same_results(batched, [one_cell(inp, cav, cfg, Gapped(), s)
+                                      for inp, s in zip(inputs, seeds)])
