@@ -222,20 +222,28 @@ def _commutator_superop(A: np.ndarray) -> np.ndarray:
     return np.kron(A, I3) - np.kron(I3, A.T)
 
 
-# Real coordinates of a Hermitian unit-trace rho:
-# x = (rho_11, rho_22, Re rho_12, Im rho_12, Re rho_13, Im rho_13, Re rho_23, Im rho_23),
-# with rho_33 = 1 - rho_11 - rho_22. vec(rho) = _E33 + x @ _STATE_BASIS.
-_STATE_BASIS = np.zeros((8, 9), dtype=complex)
-_STATE_BASIS[0, [0, 8]] = 1.0, -1.0
-_STATE_BASIS[1, [4, 8]] = 1.0, -1.0
-for _k, (_i, _j) in enumerate(((0, 1), (0, 2), (1, 2))):
-    _STATE_BASIS[2 + 2 * _k, [3 * _i + _j, 3 * _j + _i]] = 1.0, 1.0
-    _STATE_BASIS[3 + 2 * _k, [3 * _i + _j, 3 * _j + _i]] = 1j, -1j
-_E33 = np.zeros(9, dtype=complex)
-_E33[8] = 1.0
-# the eight real equations: rows of vec(L rho), L = -i M, taken as
-# Re L_11, Re L_22, Re/Im L_12, Re/Im L_13, Re/Im L_23. For Hermitian rho,
-# L rho is Hermitian and traceless, so these imply the other ten.
+def density_matrix(x) -> np.ndarray:
+    """Hermitian unit-trace density matrices (..., 3, 3) from their real
+    coordinates x (..., 8) = (rho_11, rho_22, Re rho_12, Im rho_12,
+    Re rho_13, Im rho_13, Re rho_23, Im rho_23)."""
+    x = np.asarray(x, dtype=float)
+    rho = np.empty(x.shape[:-1] + (3, 3), dtype=complex)
+    rho[..., 0, 0] = x[..., 0]
+    rho[..., 1, 1] = x[..., 1]
+    rho[..., 2, 2] = 1.0 - x[..., 0] - x[..., 1]
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        rho[..., i, j].real = rho[..., j, i].real = x[..., 2 + 2 * k]
+        rho[..., i, j].imag = x[..., 3 + 2 * k]
+        rho[..., j, i].imag = -x[..., 3 + 2 * k]
+    return rho
+
+
+# vec(rho) = _E33 + x @ _STATE_BASIS
+_E33 = density_matrix(np.zeros(8)).ravel()
+_STATE_BASIS = density_matrix(np.eye(8)).reshape(8, 9) - _E33
+# the eight real equations, in the layout of x: the entries of L rho = -i M rho
+# at rows _EQ_ROWS of vec, real or imaginary part. L rho is Hermitian and
+# traceless for Hermitian rho, so these imply the other ten.
 _EQ_ROWS = [0, 4, 1, 1, 2, 2, 5, 5]
 _EQ_IMAG = np.array([False, False, False, True, False, True, False, True])
 
@@ -248,20 +256,6 @@ def _real_equations(v: np.ndarray) -> np.ndarray:
     w = -1j * v[_EQ_ROWS]
     mask = _EQ_IMAG.reshape((-1,) + (1,) * (w.ndim - 1))
     return np.where(mask, w.imag, w.real)
-
-
-def density_matrix(x) -> np.ndarray:
-    """Hermitian 3x3 density matrices (..., 3, 3) from real coordinates (..., 8)."""
-    x = np.asarray(x, dtype=float)
-    rho = np.empty(x.shape[:-1] + (3, 3), dtype=complex)
-    rho[..., 0, 0] = x[..., 0]
-    rho[..., 1, 1] = x[..., 1]
-    rho[..., 2, 2] = 1.0 - x[..., 0] - x[..., 1]
-    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        rho[..., i, j].real = rho[..., j, i].real = x[..., 2 + 2 * k]
-        rho[..., i, j].imag = x[..., 3 + 2 * k]
-        rho[..., j, i].imag = -x[..., 3 + 2 * k]
-    return rho
 
 
 class SteadyStateProblem:
@@ -283,25 +277,30 @@ class SteadyStateProblem:
         self._M0 = _commutator_superop(H0) + 1j * _relaxation_superop(atom)
         self._M1 = _commutator_superop(X1)
         self._M2 = _commutator_superop(X2)
-        A = [_real_equations(M @ _STATE_BASIS.T) for M in (self._M0, self._M1, self._M2)]
-        b = [-_real_equations(M @ _E33) for M in (self._M0, self._M1, self._M2)]
-        self._A0, self._A1, self._A2 = A
-        self._b0, self._b1, self._b2 = b
-        # entries that depend on the drive: A is rebuilt only there
-        self._drive_entries = np.nonzero((self._A1 != 0) | (self._A2 != 0))
-        self._A1e = self._A1[self._drive_entries]
-        self._A2e = self._A2[self._drive_entries]
+        # rows: the constant, omega_1 and omega_2 parts of [A.ravel(), b]
+        self._Ab = np.stack([
+            np.concatenate([_real_equations(M @ _STATE_BASIS.T).ravel(),
+                            -_real_equations(M @ _E33)])
+            for M in (self._M0, self._M1, self._M2)
+        ])
         # (dA/d omega_j) x for j = 1, 2 in one product, and db/d omega_j as columns
-        self._dA = np.concatenate([self._A1, self._A2])
-        self._db = np.stack([self._b1, self._b2], axis=1)
+        self._dA = self._Ab[1:, :64].reshape(16, 8)
+        self._db = self._Ab[1:, 64:].T
 
     def full_matrix(self, omega1: float, omega2: float) -> np.ndarray:
         """Unconstrained complex 9x9 stationary operator (trace-degenerate)."""
         return self._M0 + omega1 * self._M1 + omega2 * self._M2
 
-    def real_matrix(self, omega1: float, omega2: float) -> np.ndarray:
-        """The 8x8 real system matrix A(Omega) of the coordinates x."""
-        return self._A0 + omega1 * self._A1 + omega2 * self._A2
+    def _system(self, om1, om2):
+        """Stacked A (n, 8, 8) and b (n, 8, 1). dA/d omega_j has entries 0,
+        +-1 and +-2 on disjoint supports, so every entry is a sum of at most
+        two exact terms: one rounding, whatever order the product takes."""
+        coef = np.empty((len(om1), 3))
+        coef[:, 0] = 1.0
+        coef[:, 1] = om1
+        coef[:, 2] = om2
+        Ab = coef @ self._Ab
+        return Ab[:, :64].reshape(-1, 8, 8), Ab[:, 64:, None]
 
     def solve_batch(self, omega1, omega2, jacobian=False):
         """Solve for arrays of drive points.
@@ -310,7 +309,7 @@ class SteadyStateProblem:
         rho (see density_matrix); residual is the max-abs residual of the full
         stationary system; ok marks entries that solved cleanly below
         RESIDUAL_TOL. Each point's arithmetic is independent of the others in
-        the batch.
+        the batch, which is solved in chunks of _CHUNK points.
 
         With jacobian=True a fourth value dx of shape (n, 8, 2) follows,
         dx[..., j] = dx / d omega_{j+1} = A^-1 (db/d omega_j - dA/d omega_j x),
@@ -319,26 +318,14 @@ class SteadyStateProblem:
         om1 = np.atleast_1d(np.asarray(omega1, dtype=float))
         om2 = np.atleast_1d(np.asarray(omega2, dtype=float))
         om1, om2 = np.broadcast_arrays(om1, om2)
-        n = om1.shape[0]
-        x = np.full((n, 8), np.nan)
-        residual = np.full(n, np.inf)
-        ok = np.zeros(n, dtype=bool)
-        dx = np.full((n, 8, 2), np.nan) if jacobian else None
-        for s in range(0, n, _CHUNK):
-            c = slice(s, s + _CHUNK)
-            self._solve_chunk(om1[c], om2[c], x[c], residual[c], ok[c],
-                              dx[c] if jacobian else None)
-        if not jacobian:
-            return x, residual, ok
-        return x, residual, ok, dx
+        if len(om1) <= _CHUNK:
+            return self._solve_chunk(om1, om2, jacobian)
+        parts = [self._solve_chunk(om1[s:s + _CHUNK], om2[s:s + _CHUNK], jacobian)
+                 for s in range(0, len(om1), _CHUNK)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    def _solve_chunk(self, om1, om2, x, residual, ok, dx):
-        """solve_batch on one chunk, writing into the given views."""
-        A = np.empty((len(om1), 8, 8))
-        A[:] = self._A0
-        A[(slice(None),) + self._drive_entries] = (
-            self._A0[self._drive_entries] + om1[:, None] * self._A1e + om2[:, None] * self._A2e)
-        b = (self._b0 + om1[:, None] * self._b1 + om2[:, None] * self._b2)[..., None]
+    def _solve_chunk(self, om1, om2, jacobian):
+        A, b = self._system(om1, om2)
         try:
             xs = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
@@ -348,12 +335,14 @@ class SteadyStateProblem:
                     xs[i] = np.linalg.solve(A[i], b[i])
                 except np.linalg.LinAlgError:
                     pass
-        good = np.all(np.isfinite(xs[..., 0]), axis=1)
-        # a full slice keeps the common all-good case free of copies
-        sel = slice(None) if good.all() else good
-        residual[sel] = self._residual_of(A[sel], xs[sel], b[sel])
+        good = np.isfinite(xs[..., 0]).all(axis=1)
+        if good.all():
+            residual = self._residual_of(A, xs, b)
+        else:
+            residual = np.full(len(A), np.inf)
+            residual[good] = self._residual_of(A[good], xs[good], b[good])
         # one pass of iterative refinement where the first solve is loose
-        rough = np.nonzero(good & (residual > 1e-12))[0]
+        rough = np.flatnonzero(good & (residual > 1e-12))
         if rough.size:
             rc = b[rough] - np.matmul(A[rough], xs[rough])
             try:
@@ -361,12 +350,16 @@ class SteadyStateProblem:
                 residual[rough] = self._residual_of(A[rough], xs[rough], b[rough])
             except np.linalg.LinAlgError:
                 pass
-        x[:] = xs[..., 0]
-        ok[:] = residual < RESIDUAL_TOL
-        if dx is not None and ok.any():
+        ok = residual < RESIDUAL_TOL
+        if not jacobian:
+            return xs[..., 0], residual, ok
+        dx = np.full((len(A), 8, 2), np.nan)
+        if ok.any():
+            # a full slice keeps the common all-ok case free of copies
             sel = slice(None) if ok.all() else ok
             dAx = np.matmul(self._dA, xs[sel]).reshape(-1, 2, 8).transpose(0, 2, 1)
             dx[sel] = np.linalg.solve(A[sel], self._db - dAx)
+        return xs[..., 0], residual, ok, dx
 
     @staticmethod
     def _residual_of(A, x, b):
@@ -383,7 +376,8 @@ class SteadyStateProblem:
     def solve(self, omega1: float, omega2: float) -> DensityMatrix:
         x, residual, ok = self.solve_batch([omega1], [omega2])
         if not ok[0]:
-            cond = float(np.linalg.cond(self.real_matrix(omega1, omega2)))
+            A, _ = self._system(np.array([omega1]), np.array([omega2]))
+            cond = float(np.linalg.cond(A[0]))
             raise SingularSteadyState(
                 "stationary system is singular or failed the residual check",
                 cond=cond,

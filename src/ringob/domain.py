@@ -163,8 +163,9 @@ def map_domain(
         inputs = [InputPoint(float(a1[i]), float(a2[j])) for j in cols]
         return solve_cells(inputs, cav, cfg, response, [roots_prev[j] for j in cols])
 
-    with ThreadPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
+    parallel = len(groups) > 1
+    with ThreadPoolExecutor(max_workers=len(groups)) if parallel else nullcontext() as pool:
+        run = pool.map if parallel else map
         for i in range(n1):
             results = [r for part in run(solve_group, [i] * len(groups), groups) for r in part]
             new_prev: list[list[tuple[float, float]] | None] = [None] * n2

@@ -144,6 +144,10 @@ def _residual_batch(pts, I0, cav, response, jacobian=False):
     return r, etas, ok, J, deta[0]
 
 
+# candidate pairs tested at once by _close_pairs
+_PAIR_BLOCK = 8192
+
+
 def _ranges(starts, stops):
     """Concatenated ranges [starts[k], stops[k]) and the k of each element."""
     count = np.maximum(stops - starts, 0)
@@ -182,20 +186,30 @@ def _close_pairs(pts: np.ndarray, cell: np.ndarray, radius: float):
     order = np.argsort(key, kind="stable")
     key = key[order]
     spread = reach * (np.abs(key.imag) + 1e-30)
-    # partners: later in the same group up to y + spread, and anywhere within
-    # y -/+ spread in the next group
+    # candidates of each point: later in its group up to y + spread, and
+    # within y -/+ spread in the next group
     probe = key.copy()
     probe.imag = key.imag + spread
-    same, owner = _ranges(np.arange(1, n + 1), np.searchsorted(key, probe, side="right"))
+    stop_same = np.searchsorted(key, probe, side="right")
     probe.real += 1.0
-    stop = np.searchsorted(key, probe, side="right")
+    stop_next = np.searchsorted(key, probe, side="right")
     probe.imag = key.imag - spread
-    nxt, owner_nxt = _ranges(np.searchsorted(key, probe, side="left"), stop)
-    a = order[np.concatenate([owner, owner_nxt])]
-    b = order[np.concatenate([same, nxt])]
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    close = np.all(np.abs(pts[a] - pts[b]) <= radius * np.maximum(mag[a], mag[b]), axis=1)
-    return a[close], b[close]
+    starts = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, probe, side="left")])
+    stops = np.concatenate([stop_same, stop_next])
+    owners = np.concatenate([order, order])
+    # candidates are tested in blocks of about _PAIR_BLOCK to bound memory
+    count = np.maximum(stops - starts, 0)
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_PAIR_BLOCK, count.sum(), _PAIR_BLOCK),
+                           side="right")
+    earlier, later = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(count)]):
+        partner, k = _ranges(starts[lo:hi], stops[lo:hi])
+        a, b = owners[lo:hi][k], order[partner]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        close = np.all(np.abs(pts[a] - pts[b]) <= radius * np.maximum(mag[a], mag[b]), axis=1)
+        earlier.append(a[close])
+        later.append(b[close])
+    return np.concatenate(earlier), np.concatenate(later)
 
 
 def _merge_close(pts: np.ndarray, radius: float, cell=None) -> np.ndarray:
