@@ -430,7 +430,8 @@ def solve_cells(
     if cav.R1 == 0.0 and cav.R2 == 0.0:
         # feedback absent: internal intensities equal the inputs exactly
         ops = _operating_points(I0, I0, cav, response)
-        return [[op] if op else NoSolution(inp, skipped=1) for op, inp in zip(ops, inputs)]
+        return [[op] if op is not None else NoSolution(inp, skipped=1)
+                for op, inp in zip(ops, inputs)]
 
     grids = [_seed_grid(inp, cav, cfg) for inp in inputs]
     # probe for gain: physical buildup bound assumes eta <= 1
