@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", dest="output_dir", help="output directory")
         p.add_argument("--threads", type=_number(int),
-                       help="groups of cells per map row, one thread each "
-                            "(0 = one per CPU)")
+                       help="groups of cells per map row, one thread each, "
+                            "at most one per CPU (0 = 2)")
         p.add_argument("--format", help="csv or json")
 
     p = sub.add_parser("steady", help="steady state for one (omega1, omega2)")

@@ -18,7 +18,7 @@ from .feedback import (
     NoSolution,
     OperatingPoint,
     SolverConfig,
-    find_all_solutions,  # noqa: F401  re-exported; bench/tracing.py wraps it here
+    find_all_solutions,  # noqa: F401  unused here; bench/tracing.py wraps it by this name
     solve_cells,
 )
 
@@ -26,6 +26,13 @@ REGION_ABSORBING = "absorbing"
 REGION_BISTABLE = "bistable"
 REGION_TRANSPARENT = "transparent"
 REGION_FAILED = "failed"
+
+# groups per map row when `threads` is 0. Two was the fastest count measured
+# on a 2-CPU machine (the 100x100 criterion map: 40 s, against 47 s at one
+# group and 65 s at eight); larger counts are unmeasured. More groups than
+# CPUs only shrink the batches, since the numpy glue between LAPACK calls
+# holds the GIL, so the count is also capped at the CPU count.
+DEFAULT_GROUPS = 2
 
 
 class GridMismatch(ValueError):
@@ -140,11 +147,12 @@ def map_domain(
 
     Rows (fixed I1 index) are solved in order. Each cell warm-starts from the
     roots of the same column in the previous, already finalized row. A row is
-    split into `threads` contiguous groups of cells (0: one per CPU); each
-    group is one batched solve (solve_cells), and the groups of a row run
-    concurrently. A cell's arithmetic does not depend on its group, so the
-    map is identical for any thread count. A cell where no operating point is
-    found (NoSolution) is labelled failed; any other exception propagates.
+    split into `threads` contiguous groups of cells (0: DEFAULT_GROUPS), at
+    most one per CPU; each group is one batched solve (solve_cells), and the
+    groups of a row run concurrently. A cell's arithmetic does not depend on
+    its group, so the map is identical for any thread count. A cell where no
+    operating point is found (NoSolution) is labelled failed; any other
+    exception propagates.
     """
     a1 = grid.axis1()
     a2 = grid.axis2()
@@ -156,7 +164,7 @@ def map_domain(
     max_eta = np.full((n1, n2), np.nan)
     roots_prev: list[list[tuple[float, float]] | None] = [None] * n2
 
-    ngroups = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    ngroups = min(threads if threads > 0 else DEFAULT_GROUPS, os.cpu_count() or 1)
     groups = [g for g in np.array_split(np.arange(n2), ngroups) if len(g)]
 
     def solve_group(i, cols):

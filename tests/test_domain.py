@@ -5,6 +5,7 @@ oracle."""
 import numpy as np
 import pytest
 
+from ringob import domain
 from ringob.domain import (
     BistabilityMap,
     GridMismatch,
@@ -133,8 +134,10 @@ class TestMapping:
         assert map_rows(m1) == map_rows(m8)
         assert boundary_rows(m1) == boundary_rows(m8)
 
-    def test_uneven_groups(self):
-        # a 7-cell row splits into groups of 3, 2 and 2 cells on 3 threads
+    def test_uneven_groups(self, monkeypatch):
+        # a 7-cell row splits into groups of 3, 2 and 2 cells on 3 threads,
+        # whatever the CPU count of the machine running the test
+        monkeypatch.setattr(domain.os, "cpu_count", lambda: 4)
         grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=8,
                         i2_min=0.5, i2_max=2.0, i2_steps=7)
         m1 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=1)
@@ -142,6 +145,22 @@ class TestMapping:
         assert m1.bistable_cells() > 0
         assert map_rows(m1) == map_rows(m3)
         assert boundary_rows(m1) == boundary_rows(m3)
+
+    def test_groups_at_most_one_per_cpu(self, monkeypatch):
+        workers = []
+
+        class Pool(domain.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(domain, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(domain.os, "cpu_count", lambda: 3)
+        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=2,
+                        i2_min=0.5, i2_max=2.0, i2_steps=7)
+        for threads in (8, 0):
+            map_domain(grid, CAV, SigmoidResponse(), CFG, threads=threads)
+        assert workers == [3, domain.DEFAULT_GROUPS]
 
     def test_failed_label(self):
         class Broken:
