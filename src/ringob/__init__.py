@@ -10,9 +10,7 @@ from .atom import (
     DensityMatrix,
     DriveParams,
     OpticalConstants,
-    absorption_factor,
     steady_state,
-    susceptibility,
     two_level_im_rho12,
     two_level_im_rho32,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "ParametricPath",
     "RunConfig",
     "SolverConfig",
-    "absorption_factor",
     "compare_domains",
     "detect_jumps",
     "extract_boundary",
@@ -55,7 +52,6 @@ __all__ = [
     "map_domain",
     "run_sweep",
     "steady_state",
-    "susceptibility",
     "two_level_im_rho12",
     "two_level_im_rho32",
 ]

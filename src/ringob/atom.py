@@ -1,6 +1,6 @@
 """Three-level Lambda atom: rotating-frame Hamiltonian, relaxation, stationary
-density matrix and the optical response (susceptibility, absorption factor) of
-the intracavity cell.
+density matrix and the optical response (susceptibility chi_j, absorption
+factor eta_j) of the intracavity cell.
 
 All frequencies (detunings, Rabi frequencies, decay rates) are expressed in
 units of 1e8 Hz. Lengths are in cm, densities in cm^-3, dipole moments in
@@ -11,7 +11,6 @@ transition (see OpticalConstants.coupling).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +26,6 @@ class SingularSteadyState(RuntimeError):
     def __init__(self, message: str, cond: float = float("inf")):
         super().__init__(f"{message} (condition estimate {cond:.3e})")
         self.cond = cond
-
-
-class ZeroDrive(ValueError):
-    """Susceptibility requested for an undriven mode."""
-
-
-class BranchPoint(ValueError):
-    """Absorption factor evaluated at the branch point 1 + 4*pi*chi = 0."""
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -394,46 +385,6 @@ def steady_state(atom: AtomParams, drive: DriveParams) -> DensityMatrix:
     return SteadyStateProblem(atom).solve(drive.omega1, drive.omega2)
 
 
-class AbsorptionResult(NamedTuple):
-    eta: float
-    gain: bool
-
-
-def susceptibility(
-    rho: DensityMatrix | np.ndarray,
-    drive: DriveParams,
-    constants: OpticalConstants,
-    mode: int,
-) -> complex:
-    """Complex susceptibility of transition `mode` (1: |1>-|2>, 2: |3>-|2>).
-
-    Uses the excited-ground coherence rotating with the driving field
-    (rho_21 for mode 1, rho_23 for mode 2), so that a passive cell yields
-    Im(chi) < 0 and absorption in the factor below.
-    """
-    if mode not in (1, 2):
-        raise ValueError("mode must be 1 or 2")
-    omega = drive.omega1 if mode == 1 else drive.omega2
-    if omega == 0:
-        raise ZeroDrive(f"mode {mode} is undriven; susceptibility undefined")
-    mat = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    coh = mat[1, 0] if mode == 1 else mat[1, 2]
-    return constants.coupling(mode) * complex(coh) / omega
-
-
-def absorption_factor(chi: complex, constants: OpticalConstants) -> AbsorptionResult:
-    """Single-pass intensity transmission eta = exp(2*k*l*Im sqrt(1+4*pi*chi)).
-
-    Principal square-root branch. eta > 1 (gain) is flagged, not clamped.
-    """
-    radicand = 1.0 + 4.0 * np.pi * complex(chi)
-    if radicand == 0:
-        raise BranchPoint("1 + 4*pi*chi = 0")
-    root = np.sqrt(radicand)
-    eta = float(np.exp(2.0 * constants.k * constants.path_length * root.imag))
-    return AbsorptionResult(eta=eta, gain=eta > 1.0)
-
-
 def _two_level_im_rho12(omega1, omega2, delta, gamma21, Gamma21):
     """The closed-form two-level Im(rho_12), its denominator and the scale of
     the pole test, elementwise on arrays or floats (inf or nan at the pole)."""
@@ -484,7 +435,8 @@ class CellResponse:
 
     Intensities are in units of Omega^2 (Omega_j = scale_j * sqrt(I_j)). The
     coherences come from the exact stationary density matrix; subclasses
-    replace `coherences` and share the eta and chain-rule code of `etas`.
+    replace `coherences` and share `optics` (chi -> eta) and the chain rule
+    of `etas`.
     """
 
     def __init__(self, atom: AtomParams, constants: OpticalConstants):
@@ -514,6 +466,18 @@ class CellResponse:
         dcoh.imag = _CONJ_21[:, :, None] * dx[0][:, 3::4].transpose(1, 2, 0)
         return coh, ok, dcoh
 
+    def optics(self, om, coh):
+        """chi_j = C_j coh_j / Omega_j, root_j = sqrt(1 + 4 pi chi_j), the gain
+        exponent arg_j = 2 k l Im root_j and eta_j = exp(arg_j), capped at
+        exp(_ETA_EXP_CAP), from Rabi frequencies and coherences of shape (2, n).
+
+        Principal square-root branch; om must be nonzero.
+        """
+        chi = self._c * coh / om
+        root = np.sqrt(1.0 + 4.0 * np.pi * chi)
+        arg = self._exponent * root.imag
+        return chi, root, arg, np.exp(np.minimum(arg, _ETA_EXP_CAP))
+
     def etas(self, I1, I2, jacobian=False):
         """eta arrays for intensity arrays; ok=False where I<=0 or the solve fails.
 
@@ -529,10 +493,8 @@ class CellResponse:
         om = self._scale * np.sqrt(np.where(positive, [I1, I2], 1.0))
         coh, ok, *dcoh = self.coherences(om[0], om[1], jacobian=jacobian)
         ok = ok & positive
-        chi = self._c * coh / om
-        root = np.sqrt(1.0 + 4.0 * np.pi * chi)
-        arg = self._exponent * root.imag
-        eta = np.where(ok, np.exp(np.minimum(arg, _ETA_EXP_CAP)), np.nan)
+        _, root, arg, eta = self.optics(om, coh)
+        eta = np.where(ok, eta, np.nan)
         if not jacobian:
             return eta[0], eta[1], ok
         # d eta_i / d omega_j = E eta_i Im(2 pi / root_i * dchi_ij) below the cap,
@@ -543,14 +505,6 @@ class CellResponse:
         # d omega_j / d I_j = scale_j^2 / (2 omega_j)
         deta = deta.imag * slope[:, None, :] * (self._scale**2 / (2.0 * om))[None, :, :]
         return eta[0], eta[1], ok, deta.transpose(2, 0, 1)
-
-    def eta_pair(self, I1: float, I2: float) -> tuple[float, float]:
-        e1, e2, ok = self.etas([I1], [I2])
-        if not ok[0]:
-            raise SingularSteadyState(
-                f"cell response failed at (I1, I2) = ({I1:g}, {I2:g})"
-            )
-        return float(e1[0]), float(e2[0])
 
 
 class ApproxCellResponse(CellResponse):

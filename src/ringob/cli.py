@@ -20,9 +20,7 @@ from .atom import (
     ApproxCellResponse,
     CellResponse,
     DriveParams,
-    absorption_factor,
     steady_state,
-    susceptibility,
     two_level_im_rho12,
     two_level_im_rho32,
 )
@@ -126,10 +124,13 @@ class _Emitter:
 
 
 def cmd_steady(cfg: RunConfig, emitter: _Emitter) -> int:
-    atom = cfg.atom.build()
-    constants = cfg.constants.build()
-    drive = DriveParams(cfg.steady.omega1, cfg.steady.omega2)
-    dm = steady_state(atom, drive)
+    response = CellResponse(cfg.atom.build(), cfg.constants.build())
+    dm = response.problem.solve(cfg.steady.omega1, cfg.steady.omega2)
+    om = np.array([[cfg.steady.omega1], [cfg.steady.omega2]])
+    coh, _ = response.coherences(om[0], om[1])
+    # chi_j and eta_j are undefined for an undriven mode
+    driven = om > 0
+    chi, _, _, eta = response.optics(np.where(driven, om, 1.0), coh)
     rows = []
     for i in range(3):
         for j in range(3):
@@ -137,16 +138,13 @@ def cmd_steady(cfg: RunConfig, emitter: _Emitter) -> int:
     rows.append(["residual", dm.residual, 0.0])
     rows.append(["trace_defect", dm.trace_defect, 0.0])
     rows.append(["min_eigenvalue", dm.min_eigenvalue, 0.0])
-    for mode in (1, 2):
-        omega = drive.omega1 if mode == 1 else drive.omega2
-        if omega > 0:
-            chi = susceptibility(dm, drive, constants, mode)
-            eta = absorption_factor(chi, constants)
-            rows.append([f"chi_{mode}", chi.real, chi.imag])
-            rows.append([f"eta_{mode}", eta.eta, 0.0])
+    for k in range(2):
+        if driven[k, 0]:
+            rows.append([f"chi_{k+1}", chi[k, 0].real, chi[k, 0].imag])
+            rows.append([f"eta_{k+1}", eta[k, 0], 0.0])
         else:
-            rows.append([f"chi_{mode}", float("nan"), float("nan")])
-            rows.append([f"eta_{mode}", float("nan"), 0.0])
+            rows.append([f"chi_{k+1}", float("nan"), float("nan")])
+            rows.append([f"eta_{k+1}", float("nan"), 0.0])
     emitter.emit("steady", ["quantity", "re", "im"], rows)
     return EXIT_OK
 
@@ -342,8 +340,7 @@ def main(argv=None) -> int:
     emitter = _Emitter(cfg.output_dir, cfg)
     try:
         return COMMANDS[command](cfg, emitter)
-    except (NoSolution, atom_mod.SingularSteadyState, atom_mod.BranchPoint,
-            atom_mod.ZeroDrive, atom_mod.DegenerateDenominator,
+    except (NoSolution, atom_mod.SingularSteadyState, atom_mod.DegenerateDenominator,
             np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
         emitter.cleanup()
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,6 +13,11 @@ from typing import Sequence
 import numpy as np
 
 MARGINAL_BAND = 1e-6
+# step-halving factor of the backtracking line search
+DAMPING = 0.5
+# seed box per axis: SEED_LOW_FACTOR * I_0 to BOUND_MARGIN * I_0 / (1 - R)
+SEED_LOW_FACTOR = 1e-3
+BOUND_MARGIN = 1.05
 
 
 class NoSolution(RuntimeError):
@@ -60,11 +65,8 @@ class SolverConfig:
 
     seed_grid: int = 24          # seeds per axis (log spaced)
     newton_max_iter: int = 40
-    damping: float = 0.5         # step-halving factor of the backtracking line search
     tol: float = 1e-10           # residual tolerance, relative to max(I_0, 1)
     dedup_radius: float = 1e-4   # relative per-coordinate root identity radius
-    seed_low_factor: float = 1e-3
-    bound_margin: float = 1.05
 
     def __post_init__(self):
         for f in fields(self):
@@ -145,8 +147,15 @@ def _residual_batch(pts, I0, cav, response, jacobian=False):
 
 
 def _merge_close(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Indices of the points kept, in order, when every point within relative
-    `radius` of an earlier kept point is dropped."""
+    """Indices of the points kept, in order.
+
+    Up to 256 points, a point is dropped exactly when it lies within relative
+    `radius` (every coordinate) of an earlier kept point. Above 256 points a
+    pre-merge first keeps only the first point of each bucket of the rounded
+    log coordinates, 4 * radius wide: a point that shares a bucket with an
+    earlier point is dropped even when it is farther than `radius` from every
+    kept point. The exact rule then runs on the points the pre-merge kept.
+    """
     n = len(pts)
     if n > 256:
         # pre-merge on rounded log coordinates (first-seen order); pairs that
@@ -183,12 +192,12 @@ def _merge_cells(pts: np.ndarray, radius: float, cell: np.ndarray) -> np.ndarray
 
 def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: float = 1.0):
     lo = np.array([
-        max(inp.I1_0 * cfg.seed_low_factor, 1e-9),
-        max(inp.I2_0 * cfg.seed_low_factor, 1e-9),
+        max(inp.I1_0 * SEED_LOW_FACTOR, 1e-9),
+        max(inp.I2_0 * SEED_LOW_FACTOR, 1e-9),
     ])
     hi = np.array([
-        max(inp.I1_0, 1e-6) / (1.0 - cav.R1) * cfg.bound_margin * widen,
-        max(inp.I2_0, 1e-6) / (1.0 - cav.R2) * cfg.bound_margin * widen,
+        max(inp.I1_0, 1e-6) / (1.0 - cav.R1) * BOUND_MARGIN * widen,
+        max(inp.I2_0, 1e-6) / (1.0 - cav.R2) * BOUND_MARGIN * widen,
     ])
     a1 = np.geomspace(lo[0], hi[0], cfg.seed_grid)
     a2 = np.geomspace(lo[1], hi[1], cfg.seed_grid)
@@ -205,14 +214,14 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
 
     Every iterate carries the residual and Jacobian of the evaluation that
     produced it. The line search evaluates the full step of every point, then,
-    in one more batched call, the damped steps lambda = damping**k, k = 1..5,
+    in one more batched call, the damped steps lambda = DAMPING**k, k = 1..5,
     of the points the full step did not improve; the first lambda that lowers
     max|r| is taken, otherwise the smallest. Returns (roots, root cells,
     skipped count per cell), the roots of each cell in the order found.
     """
     tol = cfg.tol * np.maximum(np.maximum(I0[:, 0], I0[:, 1]), 1.0)
     box_lo, box_hi = lo * 1e-3, hi * 10.0
-    lams = cfg.damping ** np.arange(1, 6)
+    lams = DAMPING ** np.arange(1, 6)
     pts = np.clip(seeds, (lo * 0.1)[cell], (hi * 10.0)[cell])
     r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
     converged, converged_cell = [], []

@@ -1,5 +1,5 @@
-"""Unit tests of the atomic steady state, susceptibility and the closed-form
-two-level expressions. Reference values come from independent oracles
+"""Unit tests of the atomic steady state, the cell's susceptibility and
+absorption factor (CellResponse) and the closed-form two-level expressions. Reference values come from independent oracles
 (nullspace of the full superoperator, dense eigen-decompositions)."""
 
 import numpy as np
@@ -11,20 +11,16 @@ from ringob import atom as atom_module
 from ringob.atom import (
     ApproxCellResponse,
     AtomParams,
-    BranchPoint,
     CellResponse,
     DegenerateDenominator,
     DriveParams,
     OpticalConstants,
     SingularSteadyState,
     SteadyStateProblem,
-    ZeroDrive,
-    absorption_factor,
     apply_relaxation,
     build_hamiltonian,
     density_matrix,
     steady_state,
-    susceptibility,
     two_level_im_rho12,
     two_level_im_rho32,
 )
@@ -218,38 +214,23 @@ class TestCoherenceBalance:
 
 
 class TestSusceptibility:
+    """chi and eta of CellResponse.optics at the exact coherences."""
+
     def test_absorptive_sign(self):
-        atom = AtomParams()
-        drive = DriveParams(1.0, 1.0)
-        dm = steady_state(atom, drive)
-        constants = OpticalConstants()
-        for mode in (1, 2):
-            chi = susceptibility(dm, drive, constants, mode)
-            assert chi.imag < 0
-
-    def test_zero_drive_raises(self):
-        atom = AtomParams()
-        dm = steady_state(atom, DriveParams(1.0, 1.0))
-        with pytest.raises(ZeroDrive):
-            susceptibility(dm, DriveParams(0.0, 1.0), OpticalConstants(), 1)
-
-    def test_absorption_factor_passive(self):
-        res = absorption_factor(-1e-6j, OpticalConstants())
-        assert 0 < res.eta < 1
-        assert not res.gain
-
-    def test_absorption_factor_gain_flag(self):
-        res = absorption_factor(+1e-6j, OpticalConstants())
-        assert res.eta > 1
-        assert res.gain
+        resp = CellResponse(AtomParams(), OpticalConstants())
+        om = np.array([[0.3, 1.0, 4.0], [1.0, 1.0, 0.2]])
+        coh, ok = resp.coherences(om[0], om[1])
+        chi, _, _, eta = resp.optics(om, coh)
+        assert ok.all()
+        assert (chi.imag < 0).all()
+        assert ((0 < eta) & (eta < 1)).all()
 
     def test_transparent_limit(self):
-        res = absorption_factor(0.0 + 0.0j, OpticalConstants())
-        assert res.eta == pytest.approx(1.0)
-
-    def test_branch_point(self):
-        with pytest.raises(BranchPoint):
-            absorption_factor(-1.0 / (4.0 * np.pi), OpticalConstants())
+        resp = CellResponse(AtomParams(), OpticalConstants(C1=0.0, C2=0.0))
+        e1, e2, ok = resp.etas([0.5, 2.0], [1.0, 0.1])
+        assert ok.all()
+        np.testing.assert_array_equal(e1, 1.0)
+        np.testing.assert_array_equal(e2, 1.0)
 
     def test_coupling_override(self):
         c = OpticalConstants(C1=2.0, C2=3.0)
@@ -257,13 +238,12 @@ class TestSusceptibility:
         assert c.coupling(2) == 3.0
 
     def test_include_length(self):
-        with_l = OpticalConstants(include_length=True)
-        without = OpticalConstants(include_length=False)
-        chi = -1e-7j
-        e1 = absorption_factor(chi, with_l).eta
-        e2 = absorption_factor(chi, without).eta
+        I1, I2 = [0.5, 2.0, 8.0], [1.0, 0.1, 0.02]
+        e1, e2, _ = CellResponse(AtomParams(), OpticalConstants(include_length=True)).etas(I1, I2)
+        f1, f2, _ = CellResponse(AtomParams(), OpticalConstants(include_length=False)).etas(I1, I2)
         # L = 5 cm multiplies the exponent
-        assert np.log(e1) == pytest.approx(5.0 * np.log(e2), rel=1e-9)
+        np.testing.assert_allclose(np.log(e1), 5.0 * np.log(f1), rtol=1e-12)
+        np.testing.assert_allclose(np.log(e2), 5.0 * np.log(f2), rtol=1e-12)
 
 
 class TestTwoLevelForms:

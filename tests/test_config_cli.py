@@ -9,8 +9,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ringob.atom import OpticalConstants
-from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, fmt, main
+from ringob.atom import CellResponse, DriveParams, OpticalConstants, steady_state
+from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, cmd_steady, fmt, main
 from ringob.config import ParseError, ValidationError, load_config
 from ringob.domain import GridSpec
 from ringob.feedback import SolverConfig
@@ -61,6 +61,9 @@ class TestValidation:
     def test_unknown_section_key(self):
         with pytest.raises(ValidationError, match="atom.bogus"):
             load_config(text='{"atom": {"bogus": 1}}')
+        # a solver constant, not a setting
+        with pytest.raises(ValidationError, match="^unknown key solver.damping$"):
+            load_config(text='{"solver": {"damping": 0.5}}')
 
     def test_reflectivity_bound(self):
         with pytest.raises(ValidationError, match="R1"):
@@ -167,7 +170,6 @@ def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
 
 @pytest.mark.parametrize("build", [
     lambda: SolverConfig(tol=NAN),
-    lambda: SolverConfig(damping=NAN),
     lambda: GridSpec(i1_max=NAN),
     lambda: GridSpec(i1_min=NAN),
     lambda: OpticalConstants(Na=NAN),
@@ -176,7 +178,7 @@ def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
     lambda: AxisSweep(axis=1, start=NAN, stop=1.0, steps=5, fixed=0.1),
     lambda: AxisSweep(axis=1, start=0.5, stop=1.0, steps=5, fixed=INF),
     lambda: ParametricPath(waypoints=[(1.0, NAN), (2.0, 0.05)], steps=5),
-], ids=["solver-tol", "solver-damping", "grid-i1_max", "grid-i1_min",
+], ids=["solver-tol", "grid-i1_max", "grid-i1_min",
         "constants-Na", "constants-D1", "constants-intensity_scale1",
         "axis-start", "axis-fixed", "path-waypoint"])
 def test_domain_types_reject_non_finite(build):
@@ -247,6 +249,40 @@ class TestCli:
         assert header == ["quantity", "re", "im"]
         names = [r[0] for r in rows]
         assert "rho_22" in names and "eta_1" in names
+
+    def test_steady_matches_cell_response(self):
+        """steady's chi and eta rows equal CellResponse's at I_j = (Omega_j / scale_j)^2."""
+        class Rows:
+            def emit(self, stem, columns, rows):
+                self.rows = {row[0]: row[1:] for row in rows}
+
+        cfg = load_config(text='{"constants": {"intensity_scale1": 1.7, "intensity_scale2": 0.6}}',
+                          overrides={"steady.omega1": 2.3, "steady.omega2": 0.17})
+        rows = Rows()
+        assert cmd_steady(cfg, rows) == EXIT_OK
+        constants = cfg.constants.build()
+        response = CellResponse(cfg.atom.build(), constants)
+        omega = np.array([2.3, 0.17])
+        scale = np.array([1.7, 0.6])
+        e1, e2, ok = response.etas(*((omega / scale) ** 2)[:, None])
+        assert ok[0]
+        rho = steady_state(cfg.atom.build(), DriveParams(*omega)).rho
+        for mode, eta, coh in ((1, e1[0], rho[1, 0]), (2, e2[0], rho[1, 2])):
+            chi = constants.coupling(mode) * coh / omega[mode - 1]
+            re, im = rows.rows[f"chi_{mode}"]
+            assert re == pytest.approx(chi.real, rel=1e-12)
+            assert im == pytest.approx(chi.imag, rel=1e-12)
+            assert rows.rows[f"eta_{mode}"] == [pytest.approx(eta, rel=1e-12), 0.0]
+
+    def test_steady_undriven_mode(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["steady", "--out", out, "--omega1", "0", "--omega2", "1"]) == EXIT_OK
+        _, rows = read_table(os.path.join(out, "steady.csv"))
+        rows = {row[0]: row[1:] for row in rows}
+        assert rows["chi_1"] == ["nan", "nan"]
+        assert rows["eta_1"] == ["nan", "0.00000000e+00"]
+        assert np.isfinite([float(v) for v in rows["chi_2"]]).all()
+        assert 0.0 < float(rows["eta_2"][0]) <= 1.0 and rows["eta_2"][1] == "0.00000000e+00"
 
     def test_steady_numeric_failure(self, tmp_path):
         # undriven atom: degenerate steady state -> exit 2
