@@ -225,6 +225,16 @@ class TestSusceptibility:
         assert (chi.imag < 0).all()
         assert ((0 < eta) & (eta < 1)).all()
 
+    def test_absorption_factor_passive(self):
+        # a small absorptive chi = -1e-6 i in both modes attenuates: 0 < eta < 1
+        consts = OpticalConstants()
+        resp = CellResponse(AtomParams(), consts)
+        c = np.array([[consts.coupling(1)], [consts.coupling(2)]])
+        chi, _, arg, eta = resp.optics(np.ones((2, 1)), -1e-6j / c)
+        np.testing.assert_allclose(chi, -1e-6j, rtol=1e-12)
+        assert (arg < 0).all()
+        assert ((0 < eta) & (eta < 1)).all()
+
     def test_transparent_limit(self):
         resp = CellResponse(AtomParams(), OpticalConstants(C1=0.0, C2=0.0))
         e1, e2, ok = resp.etas([0.5, 2.0], [1.0, 0.1])
