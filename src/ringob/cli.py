@@ -193,6 +193,11 @@ def cmd_sweep(cfg: RunConfig, emitter: _Emitter) -> int:
     response = CellResponse(atom, cfg.constants.build())
     result = run_sweep(cfg.sweep.build(), cfg.cavity.build(), response,
                        jump_threshold=cfg.thresholds.jump_threshold)
+    passes = (result.forward, result.backward)
+    print(f"sweep: {sum(len(p.t) for p in passes)} samples, "
+          f"{sum(int((~p.converged).sum()) for p in passes)} unconverged, "
+          f"{len(result.jumps_forward) + len(result.jumps_backward)} jumps, "
+          f"{result.fallbacks} fallbacks", file=sys.stderr)
     emitter.emit("sweep_forward", SWEEP_COLUMNS, trace_rows(result.forward))
     emitter.emit("sweep_backward", SWEEP_COLUMNS, trace_rows(result.backward))
     emitter.emit("jumps_forward", JUMP_COLUMNS, jump_rows(result.jumps_forward))

@@ -18,6 +18,8 @@ DAMPING = 0.5
 # seed box per axis: SEED_LOW_FACTOR * I_0 to BOUND_MARGIN * I_0 / (1 - R)
 SEED_LOW_FACTOR = 1e-3
 BOUND_MARGIN = 1.05
+# residual evaluations the sweep's Newton corrector makes before it gives up
+CORRECTOR_MAX_ITER = 8
 
 
 class NoSolution(RuntimeError):
@@ -205,6 +207,16 @@ def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: flo
     return np.stack([g1.ravel(), g2.ravel()], axis=1), lo, hi
 
 
+def _newton_step(r, J):
+    """Newton steps -J^-1 r (n, 2) of n 2x2 systems in closed form, and det J
+    (n,). A step is inf or nan where det J is 0 or J is not finite."""
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.stack([-(J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det,
+                         -(J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det], axis=1)
+    return step, det
+
+
 def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
     """Batched multi-start damped Newton with the exact Jacobian, over cells.
 
@@ -235,16 +247,13 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
         done = ok & (norm < tol[cell])
         converged.append(pts[done])
         converged_cell.append(cell[done])
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        step, det = _newton_step(r, J)
         active = (ok & ~done & (np.abs(det) > 1e-300)
                   & np.all(np.isfinite(J.reshape(-1, 4)), axis=1))
         if not active.any():
             break
-        base, r, J, norm, det, cell = (
-            pts[active], r[active], J[active], norm[active], det[active], cell[active])
-        step = np.empty_like(base)
-        step[:, 0] = -(J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
-        step[:, 1] = -(J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
+        base, r, J, norm, step, cell = (
+            pts[active], r[active], J[active], norm[active], step[active], cell[active])
 
         pts = np.clip(base + step, box_lo[cell], box_hi[cell])
         r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
@@ -315,8 +324,14 @@ def stability_matrix(pts, I0, cav: CavityParams, response):
     r, etas, ok, _, deta = _residual_batch(pts, I0, cav, response, jacobian=True)
     R = np.array([cav.R1, cav.R2])
     L = (I0 * R / (1.0 + R * etas) ** 2)[:, :, None] * deta
-    J = (R * etas)[:, :, None] * np.eye(2) + (R * pts)[:, :, None] * deta
-    return L, J, etas, r, ok
+    return L, _round_trip_jacobian(pts, etas, deta, cav), etas, r, ok
+
+
+def _round_trip_jacobian(pts, etas, deta, cav):
+    """Jacobians diag(R eta) + R I d(eta)/dI (n, 2, 2) of the round-trip map
+    I <- I_0 + R eta(I) I at points (n, 2)."""
+    R = np.array([cav.R1, cav.R2])
+    return (R * etas)[:, :, None] * np.eye(2) + (R * pts)[:, :, None] * deta
 
 
 def _operating_points(pts, I0, cav, response) -> list[OperatingPoint | None]:
@@ -440,8 +455,11 @@ def iterate_map(
 ) -> IterationResult:
     """Physical round-trip iteration I_j <- I_j_0 + R_j eta_j(I) I_j.
 
-    The dynamics proxy of the model: converges to stable operating points,
-    escapes unstable ones.
+    The dynamics proxy of the model: from a start away from every root it
+    converges to a stable operating point. It does not test stability: the
+    stopping test is on the change of one step, so a start within `tol` of an
+    unstable operating point reports "converged" at step 1. Stability is the
+    spectral radius of the round-trip Jacobian (stability_matrix).
     """
     cur = np.array(start, dtype=float)
     if np.any(cur <= 0):
@@ -469,3 +487,44 @@ def iterate_map(
         prev = cur
         cur = nxt
     return IterationResult("max_steps", (float(cur[0]), float(cur[1])), max_steps)
+
+
+def correct_root(
+    inp: InputPoint,
+    cav: CavityParams,
+    response,
+    start: tuple[float, float],
+    max_move: float,
+    tol: float = 1e-12,
+) -> tuple[float, float] | None:
+    """Stable operating point near `start` by exact-Jacobian Newton, or None.
+
+    The sweep's corrector: Newton on the closed system from the previous
+    sample's state, which converges quadratically where iterate_map converges
+    at the rate of the round-trip spectral radius, slow near the folds. The
+    root is returned only if Newton reaches a residual below `tol` relative to
+    the intensities within CORRECTOR_MAX_ITER evaluations, its round-trip
+    Jacobian has spectral radius below 1 (Newton finds unstable roots as
+    readily as stable ones) and no intensity moved by more than `max_move`
+    relative to `start` (a branch switch is left to iterate_map).
+    """
+    I0 = np.array([inp.I1_0, inp.I2_0])
+    x0 = np.array(start, dtype=float)
+    x = x0.reshape(1, 2)
+    for _ in range(CORRECTOR_MAX_ITER):
+        r, etas, ok, J, deta = _residual_batch(x, I0, cav, response, jacobian=True)
+        if not (ok[0] and np.isfinite(J).all()):
+            return None
+        if np.max(np.abs(r[0]) / x[0]) < tol:
+            break
+        step, _ = _newton_step(r, J)
+        x = x + step
+        if not (x > 0).all():
+            return None
+    else:
+        return None
+    if spectral_radius(_round_trip_jacobian(x, etas, deta, cav)[0]) >= 1.0:
+        return None
+    if np.any(np.abs(x[0] - x0) > max_move * x0):
+        return None
+    return float(x[0, 0]), float(x[0, 1])

@@ -1,6 +1,8 @@
 """Quasi-static hysteresis sweeps: drag the input intensities along an axis or
-a parametric path, follow the physically selected branch with the round-trip
-iteration, and locate output jumps between branches.
+a parametric path, follow the physically selected branch, and locate output
+jumps between branches. Each sample is corrected by Newton from the previous
+sample's state and checked by the round-trip iteration, which also follows
+the branch wherever the corrected root is refused.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import CavityParams, InputPoint, IterationResult, iterate_map
+from .feedback import CavityParams, InputPoint, IterationResult, correct_root, iterate_map
 
 
 class AbscissaMismatch(ValueError):
@@ -121,6 +123,7 @@ class SweepResult:
     jumps_backward: list = field(default_factory=list)
     loop_area_1: float = 0.0
     loop_area_2: float = 0.0
+    fallbacks: int = 0      # samples not started from a corrected root
 
 
 def _cold_start(inp: InputPoint, cav: CavityParams, response):
@@ -134,17 +137,26 @@ def _cold_start(inp: InputPoint, cav: CavityParams, response):
     return i1, i2
 
 
-def _run_pass(t, i1_0, i2_0, cav, response, max_steps, tol) -> SweepTrace:
+def _run_pass(t, i1_0, i2_0, cav, response, max_steps, tol,
+              max_move) -> tuple[SweepTrace, int]:
+    """One directional pass and its number of fallbacks: samples whose
+    iteration starts from a cold start or from the previous state because the
+    corrector refused (see correct_root)."""
     n = len(t)
     out = {k: np.full(n, np.nan) for k in
            ("I1_in", "I2_in", "eta1", "eta2", "I1_out", "I2_out")}
     conv = np.zeros(n, dtype=bool)
     state = None
+    fallbacks = 0
     for k in range(n):
         inp = InputPoint(float(i1_0[k]), float(i2_0[k]))
+        root = None
         if state is None:
             state = _cold_start(inp, cav, response)
-        res: IterationResult = iterate_map(inp, cav, response, state,
+        else:
+            root = correct_root(inp, cav, response, state, max_move, tol)
+        fallbacks += root is None
+        res: IterationResult = iterate_map(inp, cav, response, root or state,
                                            max_steps=max_steps, tol=tol)
         if not res.converged:
             # retry once from a cold start before flagging the sample
@@ -166,8 +178,9 @@ def _run_pass(t, i1_0, i2_0, cav, response, max_steps, tol) -> SweepTrace:
             state = (max(I1, 1e-9), max(I2, 1e-9))
         else:
             state = None    # cold restart on the next sample
-    return SweepTrace(t=np.asarray(t, dtype=float), I1_0=np.asarray(i1_0, dtype=float),
-                      I2_0=np.asarray(i2_0, dtype=float), converged=conv, **out)
+    trace = SweepTrace(t=np.asarray(t, dtype=float), I1_0=np.asarray(i1_0, dtype=float),
+                       I2_0=np.asarray(i2_0, dtype=float), converged=conv, **out)
+    return trace, fallbacks
 
 
 def detect_jumps(trace: SweepTrace, threshold: float = 0.5,
@@ -232,16 +245,19 @@ def run_sweep(spec, cav: CavityParams, response,
 
     The backward pass reverses the sample order but reports its trace on the
     forward abscissa so the two passes are directly comparable.
+    `jump_threshold` also bounds the relative move of an accepted Newton
+    correction.
     """
     t, i1, i2 = spec.samples()
-    fwd = _run_pass(t, i1, i2, cav, response, max_steps, tol)
-    bwd_rev = _run_pass(t[::-1], i1[::-1], i2[::-1], cav, response, max_steps, tol)
+    fwd, fb_fwd = _run_pass(t, i1, i2, cav, response, max_steps, tol, jump_threshold)
+    bwd_rev, fb_bwd = _run_pass(t[::-1], i1[::-1], i2[::-1], cav, response,
+                                max_steps, tol, jump_threshold)
     bwd = SweepTrace(**{
         k: getattr(bwd_rev, k)[::-1].copy()
         for k in ("t", "I1_0", "I2_0", "I1_in", "I2_in",
                   "eta1", "eta2", "I1_out", "I2_out", "converged")
     })
-    result = SweepResult(forward=fwd, backward=bwd)
+    result = SweepResult(forward=fwd, backward=bwd, fallbacks=fb_fwd + fb_bwd)
     result.jumps_forward = detect_jumps(fwd, jump_threshold)
     result.jumps_backward = detect_jumps(bwd, jump_threshold)
     result.loop_area_1 = loop_area(fwd, bwd, 1)

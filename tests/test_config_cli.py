@@ -362,6 +362,20 @@ class TestCli:
         jheader, _ = read_table(os.path.join(out, "jumps_forward.csv"))
         assert jheader == ["t", "output_index", "before", "after"]
 
+    def test_sweep_summary_on_stderr(self, small_config, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--config", small_config, "--out", out]) == EXIT_OK
+        unconverged = jumps = 0
+        for direction in ("forward", "backward"):
+            _, rows = read_table(os.path.join(out, f"sweep_{direction}.csv"))
+            unconverged += sum(r[9] == "0" for r in rows)
+            _, jump_rows = read_table(os.path.join(out, f"jumps_{direction}.csv"))
+            jumps += len(jump_rows)
+        # fallbacks: the cold start and the jump sample of each pass
+        assert capsys.readouterr().err == (
+            f"sweep: 20 samples, {unconverged} unconverged, {jumps} jumps, "
+            f"4 fallbacks\n")
+
     def test_header_records_config(self, small_config, tmp_path):
         out = str(tmp_path / "o")
         main(["point", "--config", small_config, "--out", out,

@@ -1,11 +1,19 @@
 """Hysteresis-engine tests on synthetic responses with known switching
-behavior, plus jump detection and loop-area arithmetic on hand-built
-traces."""
+behavior, jump detection and loop-area arithmetic on hand-built traces, and
+the Newton corrector on a synthetic S-curve and on the exact response."""
 
 import numpy as np
 import pytest
 
-from ringob.feedback import CavityParams
+from ringob.atom import AtomParams, CellResponse, OpticalConstants
+from ringob.feedback import (
+    CavityParams,
+    InputPoint,
+    SolverConfig,
+    correct_root,
+    find_all_solutions,
+    iterate_map,
+)
 from ringob.sweep import (
     AbscissaMismatch,
     AxisSweep,
@@ -167,6 +175,8 @@ class TestRunSweep:
         assert ups[0].after > ups[0].before
         assert downs[0].t < ups[0].t          # switching hysteresis
         assert res.loop_area_1 > 0
+        # one cold start per pass; each jump sample is refused by the corrector
+        assert res.fallbacks == 4
 
     def test_backward_on_forward_abscissa(self):
         sw = AxisSweep(axis=1, start=1.0, stop=2.0, steps=7, fixed=1.0)
@@ -181,3 +191,72 @@ class TestRunSweep:
         assert len(rows) == 4
         assert all(len(r) == 10 for r in rows)
         assert all(r[9] == 1 for r in rows)
+
+
+SIGMOID_CAV = CavityParams(R1=0.9, R2=0.5)
+
+
+def sigmoid_roots(i1_0):
+    """The three operating points (stable, unstable, stable) of the S-curve
+    stub at (i1_0, 0.5)."""
+    ops = find_all_solutions(InputPoint(i1_0, 0.5), SIGMOID_CAV,
+                             SolverConfig(seed_grid=30), SigmoidResponse())
+    assert [op.stability for op in ops] == ["stable", "unstable", "stable"]
+    return ops
+
+
+class TestCorrector:
+    @pytest.mark.parametrize("i1_0, rho", [(1.5, 1.86), (2.0, 2.39), (2.5, 2.55)])
+    def test_iterate_map_converges_on_unstable_root(self, i1_0, rho):
+        # started on an unstable root the iteration reports convergence at
+        # once: stability comes from the spectral radius, not from iterate_map
+        mid = sigmoid_roots(i1_0)[1]
+        assert mid.jacobian_radius == pytest.approx(rho, abs=0.01)
+        res = iterate_map(InputPoint(i1_0, 0.5), SIGMOID_CAV, SigmoidResponse(),
+                          (mid.I1_in, mid.I2_in))
+        assert res.converged and res.steps == 1
+
+    @pytest.mark.parametrize("i1_0", [1.5, 2.0, 2.5])
+    def test_refuses_unstable_accepts_stable(self, i1_0):
+        inp = InputPoint(i1_0, 0.5)
+        low, mid, high = sigmoid_roots(i1_0)
+        assert correct_root(inp, SIGMOID_CAV, SigmoidResponse(),
+                            (mid.I1_in, mid.I2_in), max_move=0.5) is None
+        for op in (low, high):
+            root = correct_root(inp, SIGMOID_CAV, SigmoidResponse(),
+                                (1.01 * op.I1_in, op.I2_in), max_move=0.5)
+            assert root == pytest.approx((op.I1_in, op.I2_in), rel=1e-11)
+
+    def test_refuses_a_move_beyond_max_move(self):
+        inp = InputPoint(2.0, 0.5)
+        low = sigmoid_roots(2.0)[0]
+        start = (1.3 * low.I1_in, low.I2_in)
+        assert correct_root(inp, SIGMOID_CAV, SigmoidResponse(), start,
+                            max_move=0.1) is None
+        assert correct_root(inp, SIGMOID_CAV, SigmoidResponse(), start,
+                            max_move=0.5) is not None
+
+    def test_exact_response_sweep(self):
+        # criterion 8's axis sweep through the bistable band, at 40 steps
+        response = CellResponse(AtomParams(), OpticalConstants())
+        calls = []
+        etas = response.etas
+
+        def counting_etas(*args, **kwargs):
+            calls.append(1)
+            return etas(*args, **kwargs)
+
+        response.etas = counting_etas
+        fixed = min(np.geomspace(5e-3, 2.0, 100), key=lambda v: abs(np.log(v / 0.05)))
+        cav = CavityParams()
+        res = run_sweep(AxisSweep(axis=1, start=1.5, stop=3.5, steps=40,
+                                  fixed=float(fixed)), cav, response)
+        assert len(calls) <= 10 * 2 * 40
+        for tr in (res.forward, res.backward):
+            assert tr.converged.all()
+            I = np.stack([tr.I1_in, tr.I2_in], axis=1)
+            e1, e2, ok = etas(I[:, 0], I[:, 1])
+            assert ok.all()
+            fixed_point = (np.stack([tr.I1_0, tr.I2_0], axis=1)
+                           + np.array([cav.R1, cav.R2]) * np.stack([e1, e2], axis=1) * I)
+            assert np.allclose(fixed_point, I, rtol=1e-11, atol=0)
