@@ -15,7 +15,7 @@ from .atom import (
     two_level_im_rho32,
 )
 from .config import RunConfig, load_config
-from .domain import BistabilityMap, GridSpec, compare_domains, extract_boundary, map_domain
+from .domain import BistabilityMap, GridSpec, extract_boundary, map_domain
 from .feedback import (
     CavityParams,
     InputPoint,
@@ -42,7 +42,6 @@ __all__ = [
     "ParametricPath",
     "RunConfig",
     "SolverConfig",
-    "compare_domains",
     "detect_jumps",
     "extract_boundary",
     "find_all_solutions",

@@ -178,7 +178,9 @@ def cmd_map(cfg: RunConfig, emitter: _Emitter) -> int:
     )
     failed = int((bmap.region == REGION_FAILED).sum())
     print(f"map: {bmap.region.size} cells, {failed} failed, "
-          f"{bmap.bistable_cells()} bistable", file=sys.stderr)
+          f"{bmap.bistable_cells()} bistable, {bmap.table_points} table points, "
+          f"{bmap.fold_squares} fold squares, {bmap.fallback_cells} fallback cells",
+          file=sys.stderr)
     if failed == bmap.region.size:
         print("numerical failure: no cell of the map has an operating point",
               file=sys.stderr)
@@ -296,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", dest="output_dir", help="output directory")
         p.add_argument("--threads", type=_number(int),
-                       help="groups of cells per map row, one thread each, "
-                            "at most one per CPU (0 = 2)")
+                       help="accepted for compatibility; maps and sweeps run "
+                            "on one thread")
         p.add_argument("--format", help="csv or json")
 
     p = sub.add_parser("steady", help="steady state for one (omega1, omega2)")

@@ -18,6 +18,15 @@ DAMPING = 0.5
 # seed box per axis: SEED_LOW_FACTOR * I_0 to BOUND_MARGIN * I_0 / (1 - R)
 SEED_LOW_FACTOR = 1e-3
 BOUND_MARGIN = 1.05
+# eta above 1 + GAIN_TOL is gain, where the roots can leave the seed box
+GAIN_TOL = 1e-9
+# a Newton point is dropped once STALL_ITER iterations in a row have not
+# brought its max|r| below STALL_RATIO times the lowest it has reached. On
+# about 700 inputs from the bench windows, the presets and the test stubs,
+# every STALL_ITER from 4 to 10 left the roots found unchanged; 3 moved the
+# roots of two inputs
+STALL_ITER = 6
+STALL_RATIO = 0.5
 # residual evaluations the sweep's Newton corrector makes before it gives up
 CORRECTOR_MAX_ITER = 8
 
@@ -118,15 +127,6 @@ class IterationResult:
         return self.status == "converged"
 
 
-def residual(inp: InputPoint, cav: CavityParams, candidate, response) -> np.ndarray:
-    """Residual 2-vector of the closed feedback system at a candidate point."""
-    pts = np.asarray(candidate, dtype=float).reshape(1, 2)
-    r, _, ok = _residual_batch(pts, np.array([inp.I1_0, inp.I2_0]), cav, response)
-    if not ok[0]:
-        raise NoSolution(inp, skipped=1)
-    return r[0]
-
-
 def _residual_batch(pts, I0, cav, response, jacobian=False):
     """Residuals (n, 2), etas (n, 2) and ok at candidate points, for inputs
     I0 given per point (n, 2) or as one pair (2,).
@@ -192,15 +192,16 @@ def _merge_cells(pts: np.ndarray, radius: float, cell: np.ndarray) -> np.ndarray
                            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(pts)])])
 
 
+def _seed_box(I0, cav: CavityParams, widen: float = 1.0):
+    """Seed box corners lo, hi (..., 2) of inputs I0 (..., 2): SEED_LOW_FACTOR
+    * I_0 to BOUND_MARGIN * I_0 / (1 - R) per axis, the upper end widened."""
+    lo = np.maximum(I0 * SEED_LOW_FACTOR, 1e-9)
+    hi = np.maximum(I0, 1e-6) / (1.0 - np.array([cav.R1, cav.R2])) * BOUND_MARGIN * widen
+    return lo, hi
+
+
 def _seed_grid(inp: InputPoint, cav: CavityParams, cfg: SolverConfig, widen: float = 1.0):
-    lo = np.array([
-        max(inp.I1_0 * SEED_LOW_FACTOR, 1e-9),
-        max(inp.I2_0 * SEED_LOW_FACTOR, 1e-9),
-    ])
-    hi = np.array([
-        max(inp.I1_0, 1e-6) / (1.0 - cav.R1) * BOUND_MARGIN * widen,
-        max(inp.I2_0, 1e-6) / (1.0 - cav.R2) * BOUND_MARGIN * widen,
-    ])
+    lo, hi = _seed_box(np.array([inp.I1_0, inp.I2_0]), cav, widen)
     a1 = np.geomspace(lo[0], hi[0], cfg.seed_grid)
     a2 = np.geomspace(lo[1], hi[1], cfg.seed_grid)
     g1, g2 = np.meshgrid(a1, a2, indexing="ij")
@@ -228,14 +229,18 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
     produced it. The line search evaluates the full step of every point, then,
     in one more batched call, the damped steps lambda = DAMPING**k, k = 1..5,
     of the points the full step did not improve; the first lambda that lowers
-    max|r| is taken, otherwise the smallest. Returns (roots, root cells,
-    skipped count per cell), the roots of each cell in the order found.
+    max|r| is taken, otherwise the smallest. A point stops when it has made
+    no progress for STALL_ITER iterations (see STALL_RATIO). Returns (roots,
+    root cells, skipped count per cell), the roots of each cell in the order
+    found.
     """
     tol = cfg.tol * np.maximum(np.maximum(I0[:, 0], I0[:, 1]), 1.0)
     box_lo, box_hi = lo * 1e-3, hi * 10.0
     lams = DAMPING ** np.arange(1, 6)
     pts = np.clip(seeds, (lo * 0.1)[cell], (hi * 10.0)[cell])
     r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
+    best = np.full(len(pts), np.inf)
+    stall = np.zeros(len(pts), dtype=int)
     converged, converged_cell = [], []
     skipped = np.zeros(len(I0), dtype=int)
 
@@ -244,16 +249,20 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
             break
         skipped += np.bincount(cell[~ok], minlength=len(I0))
         norm = np.abs(r).max(axis=1)
+        progress = norm < STALL_RATIO * best
+        best = np.where(progress, norm, best)
+        stall = np.where(progress, 0, stall + 1)
         done = ok & (norm < tol[cell])
         converged.append(pts[done])
         converged_cell.append(cell[done])
         step, det = _newton_step(r, J)
-        active = (ok & ~done & (np.abs(det) > 1e-300)
+        active = (ok & ~done & (stall < STALL_ITER) & (np.abs(det) > 1e-300)
                   & np.all(np.isfinite(J.reshape(-1, 4)), axis=1))
         if not active.any():
             break
-        base, r, J, norm, step, cell = (
-            pts[active], r[active], J[active], norm[active], step[active], cell[active])
+        base, r, J, norm, step, cell, best, stall = (
+            pts[active], r[active], J[active], norm[active], step[active], cell[active],
+            best[active], stall[active])
 
         pts = np.clip(base + step, box_lo[cell], box_hi[cell])
         r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
@@ -273,7 +282,8 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
                 damped[pick], r_d[pick], ok_d[pick], J_d[pick])
         if it >= 1:
             keep = _merge_cells(pts, cfg.dedup_radius, cell)
-            pts, r, ok, J, cell = pts[keep], r[keep], ok[keep], J[keep], cell[keep]
+            pts, r, ok, J, cell, best, stall = (
+                pts[keep], r[keep], ok[keep], J[keep], cell[keep], best[keep], stall[keep])
 
     roots = np.concatenate(converged) if converged else np.empty((0, 2))
     root_cell = np.concatenate(converged_cell) if converged else np.empty(0, dtype=int)
@@ -401,7 +411,7 @@ def solve_cells(
     for c, inp in enumerate(inputs):
         sel = ok_probe & (probe_cell == c)
         grid, lo[c], hi[c] = grids[c]
-        if sel.any() and np.nanmax(etas_probe[sel]) > 1.0 + 1e-9:
+        if sel.any() and np.nanmax(etas_probe[sel]) > 1.0 + GAIN_TOL:
             grid, lo[c], hi[c] = _seed_grid(inp, cav, cfg, widen=10.0)
         extra = extra_seeds[c] if extra_seeds is not None else None
         if extra is not None and len(extra):
@@ -409,19 +419,30 @@ def solve_cells(
         seeds.append(grid)
         seed_cell.append(np.full(len(grid), c))
 
-    roots, root_cell, skipped = _newton_roots(
-        I0, lo, hi, np.concatenate(seeds), np.concatenate(seed_cell), cav, cfg, response)
+    return _solve_seeded(I0, lo, hi, np.concatenate(seeds), np.concatenate(seed_cell),
+                         cav, cfg, response)
+
+
+def _solve_seeded(I0, lo, hi, seeds, seed_cell, cav, cfg, response):
+    """Newton from given seeds, then re-verification and classification.
+
+    Cell c has inputs I0[c] and seed box [lo[c], hi[c]]; seed k belongs to
+    cell seed_cell[k], which is non-decreasing. Returns per cell the verified
+    operating points sorted by (I1_in, I2_in), or NoSolution.
+    """
+    roots, root_cell, skipped = _newton_roots(I0, lo, hi, seeds, seed_cell, cav, cfg, response)
     ops = _operating_points(roots, I0[root_cell], cav, response)
+    bounds = np.searchsorted(root_cell, np.arange(len(I0) + 1))
     results = []
-    for c, inp in enumerate(inputs):
-        mine = [ops[k] for k in np.nonzero(root_cell == c)[0]]
+    for c, (i1, i2) in enumerate(I0):
+        mine = ops[bounds[c]:bounds[c + 1]]
         if any(op is None for op in mine):
-            results.append(NoSolution(inp, skipped=1))
+            results.append(NoSolution(InputPoint(i1, i2), skipped=1))
             continue
-        scale = max(inp.I1_0, inp.I2_0, 1.0)
+        scale = max(i1, i2, 1.0)
         mine = sorted((op for op in mine if op.residual < 10.0 * cfg.tol * scale),
                       key=lambda op: (op.I1_in, op.I2_in))
-        results.append(mine or NoSolution(inp, skipped=int(skipped[c])))
+        results.append(mine or NoSolution(InputPoint(i1, i2), skipped=int(skipped[c])))
     return results
 
 

@@ -4,6 +4,7 @@ diagnostics, exit codes, file emission and byte-determinism."""
 import glob
 import json
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -337,8 +338,14 @@ class TestCli:
         _, rows = read_table(os.path.join(out, "map.csv"))
         failed = sum(r[6] == "failed" for r in rows)
         bistable = sum(r[6] == "bistable" for r in rows)
-        assert capsys.readouterr().err == (
-            f"map: 36 cells, {failed} failed, {bistable} bistable\n")
+        err = capsys.readouterr().err
+        match = re.fullmatch(
+            rf"map: 36 cells, {failed} failed, {bistable} bistable, (\d+) table points, "
+            r"(\d+) fold squares, 0 fallback cells\n", err)
+        assert match, err
+        # the table and its refinement at the fold: 81 nodes per fold square
+        table, fold = (int(g) for g in match.groups())
+        assert table == 200 ** 2 + 81 * fold
 
     def test_map_all_cells_failed_exit_2(self, tmp_path, capsys):
         # one Newton iteration converges nowhere, so every cell fails
@@ -348,7 +355,7 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["map", "--config", str(cfgp), "--out", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert err.startswith("map: 36 cells, 36 failed, 0 bistable\n")
+        assert err.startswith("map: 36 cells, 36 failed, 0 bistable, ")
         assert "numerical failure" in err
         assert not (out / "map.csv").exists()
 

@@ -1,22 +1,64 @@
 """Domain-mapper tests on a synthetic cell response whose bistable set is
-known analytically, plus boundary-extraction checks against a flood-fill
-oracle."""
+known analytically, the inverse-map engine against multi-start Newton on
+every cell, plus boundary-extraction checks against a flood-fill oracle."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from ringob import domain
+from ringob.atom import AtomParams, CellResponse, OpticalConstants
 from ringob.domain import (
+    REGION_BISTABLE,
     BistabilityMap,
-    GridMismatch,
     GridSpec,
     boundary_rows,
-    compare_domains,
     extract_boundary,
     map_domain,
     map_rows,
 )
-from ringob.feedback import CavityParams, SolverConfig
+from ringob.feedback import CavityParams, InputPoint, NoSolution, SolverConfig, solve_cells
+
+
+class GridMismatch(ValueError):
+    """Maps compared over different grids."""
+
+
+@dataclass
+class DomainComparison:
+    """Cell-wise comparison of two maps sharing a grid."""
+
+    bistable_a: int
+    bistable_b: int
+    bbox_a: tuple[int, int, int, int] | None
+    bbox_b: tuple[int, int, int, int] | None
+    symmetric_difference: int
+    differing_cells: list[tuple[int, int]]
+
+
+def _bbox(mask: np.ndarray):
+    idx = np.argwhere(mask)
+    if idx.size == 0:
+        return None
+    return (int(idx[:, 0].min()), int(idx[:, 0].max()),
+            int(idx[:, 1].min()), int(idx[:, 1].max()))
+
+
+def compare_domains(map_a: BistabilityMap, map_b: BistabilityMap) -> DomainComparison:
+    if map_a.grid != map_b.grid:
+        raise GridMismatch("maps were computed on different grids")
+    ma = map_a.region == REGION_BISTABLE
+    mb = map_b.region == REGION_BISTABLE
+    diff = map_a.region != map_b.region
+    return DomainComparison(
+        bistable_a=int(ma.sum()),
+        bistable_b=int(mb.sum()),
+        bbox_a=_bbox(ma),
+        bbox_b=_bbox(mb),
+        symmetric_difference=int((ma ^ mb).sum()),
+        differing_cells=[(int(i), int(j)) for i, j in np.argwhere(diff)],
+    )
 
 
 def enclosed_cells(bmap: BistabilityMap) -> set[tuple[int, int]]:
@@ -134,34 +176,6 @@ class TestMapping:
         assert map_rows(m1) == map_rows(m8)
         assert boundary_rows(m1) == boundary_rows(m8)
 
-    def test_uneven_groups(self, monkeypatch):
-        # a 7-cell row splits into groups of 3, 2 and 2 cells on 3 threads,
-        # whatever the CPU count of the machine running the test
-        monkeypatch.setattr(domain.os, "cpu_count", lambda: 4)
-        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=8,
-                        i2_min=0.5, i2_max=2.0, i2_steps=7)
-        m1 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=1)
-        m3 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=3)
-        assert m1.bistable_cells() > 0
-        assert map_rows(m1) == map_rows(m3)
-        assert boundary_rows(m1) == boundary_rows(m3)
-
-    def test_groups_at_most_one_per_cpu(self, monkeypatch):
-        workers = []
-
-        class Pool(domain.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(domain, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(domain.os, "cpu_count", lambda: 3)
-        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=2,
-                        i2_min=0.5, i2_max=2.0, i2_steps=7)
-        for threads in (8, 0):
-            map_domain(grid, CAV, SigmoidResponse(), CFG, threads=threads)
-        assert workers == [3, domain.DEFAULT_GROUPS]
-
     def test_failed_label(self):
         class Broken:
             def etas(self, I1, I2, jacobian=False):
@@ -175,6 +189,14 @@ class TestMapping:
         m = map_domain(grid, CAV, Broken(), CFG)
         assert (m.region == "failed").all()
 
+    def test_found_middle_roots(self, stub_map):
+        # rows I1_0 = 1.71 and 2.80, where multi-start Newton from the seed
+        # grid alone misses the middle root
+        a1 = stub_map.grid.axis1()
+        for i, value in ((5, 1.71), (7, 2.80)):
+            assert a1[i] == pytest.approx(value, rel=1e-2)
+            assert (stub_map.solution_count[i] == 3).all()
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_propagates(self, threads):
         class Raising:
@@ -185,6 +207,116 @@ class TestMapping:
                         i2_min=1.0, i2_max=2.0, i2_steps=2)
         with pytest.raises(RuntimeError, match="bug in the response"):
             map_domain(grid, CAV, Raising(), CFG, threads=threads)
+
+
+def cell_table(results):
+    """(count, stable count, region) per cell of solve_cells-style results."""
+    rows = []
+    for ops in results:
+        if isinstance(ops, NoSolution):
+            rows.append((0, 0, domain.REGION_FAILED))
+            continue
+        count, stable, lo, hi = domain._cell_stats(ops)
+        rows.append((count, stable, domain._label(count, lo, hi, 0.1, 0.9)))
+    return rows
+
+
+def multistart(grid, cav, cfg, response):
+    """Every cell of a grid solved by multi-start Newton alone, no warm start."""
+    inputs = [InputPoint(float(x), float(y)) for x in grid.axis1() for y in grid.axis2()]
+    return inputs, solve_cells(inputs, cav, cfg, response)
+
+
+def assert_engine_matches_multistart(grid, cav, cfg, response):
+    """The map's counts and regions equal those of multi-start Newton; a cell
+    where they differ is solved again on a 60 x 60 seed grid, which must
+    agree with the map."""
+    bmap = map_domain(grid, cav, response, cfg)
+    inputs, results = multistart(grid, cav, cfg, response)
+    engine = list(zip(bmap.solution_count.ravel(), bmap.stable_count.ravel(),
+                      bmap.region.ravel()))
+    want = cell_table(results)
+    fine = SolverConfig(seed_grid=60)
+    for inp, got, ms in zip(inputs, engine, want):
+        if got != ms:
+            assert cell_table(solve_cells([inp], cav, fine, response)) == [got], inp
+    return bmap, engine, want
+
+
+@pytest.fixture(scope="module")
+def cell_response():
+    return CellResponse(AtomParams(), OpticalConstants())
+
+
+class TestInverseMapEngine:
+    """map_domain (inverse-map seeds, one Newton batch) against multi-start
+    Newton on every cell of the same grids."""
+
+    def test_sigmoid_stub(self):
+        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=16,
+                        i2_min=0.5, i2_max=2.0, i2_steps=4)
+        bmap, engine, want = assert_engine_matches_multistart(grid, CAV, CFG,
+                                                              SigmoidResponse())
+        # the seed grid alone misses the middle roots of two rows
+        assert engine != want
+        assert bmap.fallback_cells == 0
+
+    def test_default_model_band(self, cell_response):
+        grid = GridSpec(i1_min=1.9, i1_max=3.2, i1_steps=20,
+                        i2_min=0.012, i2_max=0.2, i2_steps=20)
+        bmap, _, _ = assert_engine_matches_multistart(grid, CavityParams(),
+                                                      SolverConfig(seed_grid=12),
+                                                      cell_response)
+        assert bmap.bistable_cells() > 0
+        assert bmap.fold_squares > 0
+        assert bmap.table_points == domain.TABLE_STEPS ** 2 \
+            + bmap.fold_squares * (domain.FOLD_REFINE + 1) ** 2
+
+    def test_no_detuning_window(self):
+        response = CellResponse(AtomParams(eps1=0.7, eps2=0.7), OpticalConstants())
+        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=20,
+                        i2_min=5e-3, i2_max=2.0, i2_steps=20)
+        bmap, _, _ = assert_engine_matches_multistart(grid, CavityParams(),
+                                                      SolverConfig(seed_grid=12), response)
+        assert bmap.bistable_cells() == 0
+
+    def test_cells_without_root_go_to_fallback(self, monkeypatch):
+        """A cell whose seeds gave no root is solved by multi-start Newton."""
+        def rootless(I0, *args):
+            return [NoSolution(InputPoint(*inp)) for inp in I0]
+
+        monkeypatch.setattr(domain, "_solve_seeded", rootless)
+        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=6,
+                        i2_min=0.5, i2_max=2.0, i2_steps=3)
+        bmap = map_domain(grid, CAV, SigmoidResponse(), CFG)
+        assert bmap.fallback_cells == 18
+        _, results = multistart(grid, CAV, CFG, SigmoidResponse())
+        assert list(zip(bmap.solution_count.ravel(), bmap.stable_count.ravel(),
+                        bmap.region.ravel())) == cell_table(results)
+
+    def test_failed_patch_goes_to_fallback(self, monkeypatch):
+        """Nodes with 2.7 <= I2 <= 3 fail. With R2 = 0.5 the root box of a
+        cell spans I2_0 to 2 I2_0, so exactly the cells of the column I2_0 =
+        2 touch the patch (the next box ends at 2.52, 7% below it)."""
+
+        class Patched(SigmoidResponse):
+            def etas(self, I1, I2, jacobian=False):
+                out = super().etas(I1, I2, jacobian)
+                I2 = np.asarray(I2, dtype=float)
+                return out[:2] + (out[2] & ((I2 < 2.7) | (I2 > 3.0)),) + out[3:]
+
+        solved = []
+
+        def recording(inputs, *args, **kwargs):
+            solved.extend((inp.I1_0, inp.I2_0) for inp in inputs)
+            return solve_cells(inputs, *args, **kwargs)
+
+        monkeypatch.setattr(domain, "solve_cells", recording)
+        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=16,
+                        i2_min=0.5, i2_max=2.0, i2_steps=4)
+        bmap, _, _ = assert_engine_matches_multistart(grid, CAV, CFG, Patched())
+        assert sorted(solved) == sorted((float(x), 2.0) for x in grid.axis1())
+        assert bmap.fallback_cells == 16
 
 
 def synthetic_map(mask, lo=1.0, hi=100.0):

@@ -11,6 +11,7 @@ from ringob.atom import AtomParams, CellResponse, OpticalConstants
 from ringob.feedback import (
     _merge_cells,
     _merge_close,
+    _residual_batch,
     CavityParams,
     InputPoint,
     NoSolution,
@@ -18,11 +19,19 @@ from ringob.feedback import (
     classify,
     find_all_solutions,
     iterate_map,
-    residual,
     solve_cells,
     spectral_norm,
     spectral_radius,
 )
+
+
+def residual(inp: InputPoint, cav: CavityParams, candidate, response) -> np.ndarray:
+    """Residual 2-vector of the closed feedback system at a candidate point."""
+    pts = np.asarray(candidate, dtype=float).reshape(1, 2)
+    r, _, ok = _residual_batch(pts, np.array([inp.I1_0, inp.I2_0]), cav, response)
+    if not ok[0]:
+        raise NoSolution(inp, skipped=1)
+    return r[0]
 
 
 class ConstantResponse:
@@ -224,6 +233,22 @@ class TestRealResponse:
         ops = find_all_solutions(InputPoint(2.56, 0.05), CavityParams(R1=0.0, R2=0.6),
                                  SolverConfig(seed_grid=12), response)
         assert len(ops) == 1
+
+    def test_stalled_starts_stop_early(self, response):
+        """Some seeds of this input wander without converging. They stop
+        once they make no progress, instead of running all 40 Newton
+        iterations (83 response calls without the stagnation exit, 27 with)."""
+        calls = []
+
+        class Counting:
+            def etas(self, I1, I2, jacobian=False):
+                calls.append(len(np.atleast_1d(I1)))
+                return response.etas(I1, I2, jacobian=jacobian)
+
+        ops = find_all_solutions(InputPoint(1.9, 0.0179), CavityParams(),
+                                 SolverConfig(seed_grid=12), Counting())
+        assert len(ops) == 1
+        assert len(calls) < 40
 
     def test_warm_start_equivalence(self, response):
         inp = InputPoint(2.56, 0.05)
