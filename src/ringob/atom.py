@@ -158,40 +158,8 @@ class DensityMatrix:
         return abs(np.trace(self.rho) - 1.0)
 
     @property
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    @property
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-
-
-def build_hamiltonian(atom: AtomParams, drive: DriveParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the driven Lambda atom (Hermitian by fill)."""
-    o1, o2 = drive.omega1, drive.omega2
-    return np.array(
-        [
-            [0.0, o1, 0.0],
-            [o1, atom.delta1, o2],
-            [0.0, o2, atom.delta2],
-        ],
-        dtype=complex,
-    )
-
-
-def apply_relaxation(rho: np.ndarray, atom: AtomParams) -> np.ndarray:
-    """Relaxation superoperator: coherence decay plus population transfer.
-
-    Linear in rho; conserves the trace for arbitrary (not necessarily
-    Hermitian) input.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    out = -(atom.Gamma * rho).astype(complex)
-    pops = np.diagonal(rho)
-    gain = atom.gamma.T @ pops
-    loss = atom.gamma.sum(axis=1) * pops
-    np.fill_diagonal(out, gain - loss)
-    return out
 
 
 def _relaxation_superop(atom: AtomParams) -> np.ndarray:
@@ -265,22 +233,18 @@ class SteadyStateProblem:
         X1[0, 1] = X1[1, 0] = 1.0
         X2 = np.zeros((3, 3), dtype=complex)
         X2[1, 2] = X2[2, 1] = 1.0
-        self._M0 = _commutator_superop(H0) + 1j * _relaxation_superop(atom)
-        self._M1 = _commutator_superop(X1)
-        self._M2 = _commutator_superop(X2)
+        M0 = _commutator_superop(H0) + 1j * _relaxation_superop(atom)
+        M1 = _commutator_superop(X1)
+        M2 = _commutator_superop(X2)
         # rows: the constant, omega_1 and omega_2 parts of [A.ravel(), b]
         self._Ab = np.stack([
             np.concatenate([_real_equations(M @ _STATE_BASIS.T).ravel(),
                             -_real_equations(M @ _E33)])
-            for M in (self._M0, self._M1, self._M2)
+            for M in (M0, M1, M2)
         ])
         # (dA/d omega_j) x for j = 1, 2 in one product, and db/d omega_j as columns
         self._dA = self._Ab[1:, :64].reshape(16, 8)
         self._db = self._Ab[1:, 64:].T
-
-    def full_matrix(self, omega1: float, omega2: float) -> np.ndarray:
-        """Unconstrained complex 9x9 stationary operator (trace-degenerate)."""
-        return self._M0 + omega1 * self._M1 + omega2 * self._M2
 
     def _system(self, om1, om2):
         """Stacked A (n, 8, 8) and b (n, 8, 1). dA/d omega_j has entries 0,

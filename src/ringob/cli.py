@@ -127,7 +127,7 @@ def cmd_steady(cfg: RunConfig, emitter: _Emitter) -> int:
     response = CellResponse(cfg.atom.build(), cfg.constants.build())
     dm = response.problem.solve(cfg.steady.omega1, cfg.steady.omega2)
     om = np.array([[cfg.steady.omega1], [cfg.steady.omega2]])
-    coh, _ = response.coherences(om[0], om[1])
+    coh = np.array([[dm.rho[1, 0]], [dm.rho[1, 2]]])   # rho_21, rho_23
     # chi_j and eta_j are undefined for an undriven mode
     driven = om > 0
     chi, _, _, eta = response.optics(np.where(driven, om, 1.0), coh)
@@ -174,7 +174,6 @@ def cmd_map(cfg: RunConfig, emitter: _Emitter) -> int:
         cfg.grid.build(), cfg.cavity.build(), response, cfg.solver.build(),
         eta_absorbing=cfg.thresholds.eta_absorbing,
         eta_transparent=cfg.thresholds.eta_transparent,
-        threads=cfg.threads,
     )
     failed = int((bmap.region == REGION_FAILED).sum())
     print(f"map: {bmap.region.size} cells, {failed} failed, "
@@ -251,8 +250,7 @@ def cmd_approx(cfg: RunConfig, emitter: _Emitter) -> int:
     ):
         bmap = map_domain(grid, cav, response, solver,
                           eta_absorbing=cfg.thresholds.eta_absorbing,
-                          eta_transparent=cfg.thresholds.eta_transparent,
-                          threads=cfg.threads)
+                          eta_transparent=cfg.thresholds.eta_transparent)
         emitter.emit(stem, MAP_COLUMNS, map_rows(bmap))
         emitter.emit(f"boundary_{stem.split('_')[1]}", BOUNDARY_COLUMNS,
                      boundary_rows(bmap))

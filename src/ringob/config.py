@@ -249,8 +249,8 @@ def load_config(source: str | None = None, text: str | None = None,
 
 
 def _validate(cfg: RunConfig) -> None:
-    # the domain types name the offending field first ("tol: must be
-    # positive"); prefixing the section makes that the config key
+    # the domain types name the offending field first ("R1: must lie in
+    # [0, 1)"); prefixing the section makes that the config key
     for name in ("atom", "constants", "cavity", "solver", "grid", "sweep"):
         try:
             getattr(cfg, name).build()

@@ -339,7 +339,6 @@ def map_domain(
     cfg: SolverConfig,
     eta_absorbing: float = 0.1,
     eta_transparent: float = 0.9,
-    threads: int = 0,
 ) -> BistabilityMap:
     """Solve every grid cell and label the three regions of the input plane.
 
@@ -349,10 +348,9 @@ def map_domain(
     batched Newton (in batches of at most EVAL_CHUNK seeds), re-verified and
     classified as solve_cells does. A cell without seeds (see
     _inverse_map_seeds) or whose seeds gave no root is solved by solve_cells
-    instead. No cell depends on another, so the map is
-    deterministic; `threads` is accepted and unused. A cell where no
-    operating point is found (NoSolution) is labelled failed; any other
-    exception propagates.
+    instead. No cell depends on another, so the map is deterministic. A cell
+    where no operating point is found (NoSolution) is labelled failed; any
+    other exception propagates.
     """
     a1 = grid.axis1()
     a2 = grid.axis2()
@@ -373,7 +371,7 @@ def map_domain(
         for part in _batches(bounds):
             seeded = slice(bounds[part.start], bounds[part.stop])
             batch = _solve_seeded(I0[cells[part]], lo[part], hi[part], seeds[seeded],
-                                  local[seeded] - part.start, cav, cfg, response)
+                                  local[seeded] - part.start, cav, response)
             for c, ops in zip(cells[part], batch):
                 if not isinstance(ops, NoSolution):
                     results[c] = ops

@@ -7,7 +7,7 @@ j = 1, 2, which keeps the equations regular at R_j = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +27,17 @@ GAIN_TOL = 1e-9
 # roots of two inputs
 STALL_ITER = 6
 STALL_RATIO = 0.5
-# residual evaluations the sweep's Newton corrector makes before it gives up
+# residual evaluations the sweep's Newton corrector makes before it gives up,
+# and the residual it must reach, relative to the intensities
 CORRECTOR_MAX_ITER = 8
+CORRECTOR_TOL = 1e-12
+# Newton iterations of the multi-start root finder; its residual tolerance,
+# relative to max(I_0, 1); and the relative per-coordinate radius within
+# which two roots are one. DEDUP_RADIUS must exceed NEWTON_TOL, so that one
+# root converged to from two seeds is merged
+NEWTON_MAX_ITER = 40
+NEWTON_TOL = 1e-10
+DEDUP_RADIUS = 1e-4
 
 
 class NoSolution(RuntimeError):
@@ -68,25 +77,19 @@ class InputPoint:
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs of the multi-start damped Newton root finder.
+    """Seed grid of the multi-start damped Newton root finder.
 
     The Newton Jacobian is exact (d(eta)/dI from the response's implicit
-    derivative), so there is no difference step to tune.
+    derivative), so there is no difference step to tune; the iteration
+    count and tolerances are the module constants NEWTON_MAX_ITER,
+    NEWTON_TOL and DEDUP_RADIUS.
     """
 
     seed_grid: int = 24          # seeds per axis (log spaced)
-    newton_max_iter: int = 40
-    tol: float = 1e-10           # residual tolerance, relative to max(I_0, 1)
-    dedup_radius: float = 1e-4   # relative per-coordinate root identity radius
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name}: must be positive and finite, got {v}")
-        if not self.dedup_radius > self.tol:
-            raise ValueError(f"dedup_radius: must exceed tol = {self.tol}, "
-                             f"got {self.dedup_radius}")
+        if not self.seed_grid > 0:
+            raise ValueError(f"seed_grid: must be positive, got {self.seed_grid}")
 
 
 @dataclass
@@ -110,7 +113,6 @@ class OperatingPoint:
     marginal: bool
     norm: float             # spectral norm of the linearized feedback matrix L
     residual: float
-    gain: bool = False
     jacobian_radius: float = float("nan")  # spectral radius of the iteration-map Jacobian
 
 
@@ -218,7 +220,7 @@ def _newton_step(r, J):
     return step, det
 
 
-def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
+def _newton_roots(I0, lo, hi, seeds, cell, cav, response):
     """Batched multi-start damped Newton with the exact Jacobian, over cells.
 
     Cell c has inputs I0[c] and seed box [lo[c], hi[c]]; seed k belongs to
@@ -234,7 +236,7 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
     root cells, skipped count per cell), the roots of each cell in the order
     found.
     """
-    tol = cfg.tol * np.maximum(np.maximum(I0[:, 0], I0[:, 1]), 1.0)
+    tol = NEWTON_TOL * np.maximum(np.maximum(I0[:, 0], I0[:, 1]), 1.0)
     box_lo, box_hi = lo * 1e-3, hi * 10.0
     lams = DAMPING ** np.arange(1, 6)
     pts = np.clip(seeds, (lo * 0.1)[cell], (hi * 10.0)[cell])
@@ -244,7 +246,7 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
     converged, converged_cell = [], []
     skipped = np.zeros(len(I0), dtype=int)
 
-    for it in range(cfg.newton_max_iter):
+    for it in range(NEWTON_MAX_ITER):
         if pts.shape[0] == 0:
             break
         skipped += np.bincount(cell[~ok], minlength=len(I0))
@@ -281,7 +283,7 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
             pts[worse], r[worse], ok[worse], J[worse] = (
                 damped[pick], r_d[pick], ok_d[pick], J_d[pick])
         if it >= 1:
-            keep = _merge_cells(pts, cfg.dedup_radius, cell)
+            keep = _merge_cells(pts, DEDUP_RADIUS, cell)
             pts, r, ok, J, cell, best, stall = (
                 pts[keep], r[keep], ok[keep], J[keep], cell[keep], best[keep], stall[keep])
 
@@ -289,7 +291,7 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, cfg, response):
     root_cell = np.concatenate(converged_cell) if converged else np.empty(0, dtype=int)
     order = np.argsort(root_cell, kind="stable")
     roots, root_cell = roots[order], root_cell[order]
-    keep = _merge_cells(roots, cfg.dedup_radius, root_cell)
+    keep = _merge_cells(roots, DEDUP_RADIUS, root_cell)
     return roots[keep], root_cell[keep], skipped
 
 
@@ -369,7 +371,6 @@ def _operating_points(pts, I0, cav, response) -> list[OperatingPoint | None]:
             marginal=marginal,
             norm=spectral_norm(L[k]),
             residual=float(np.abs(r[k]).max()),
-            gain=bool(e1 > 1.0 or e2 > 1.0),
             jacobian_radius=radius,
         ))
     return ops
@@ -380,11 +381,10 @@ def solve_cells(
     cav: CavityParams,
     cfg: SolverConfig,
     response,
-    extra_seeds: Sequence[Sequence[tuple[float, float]] | None] | None = None,
 ) -> list[list[OperatingPoint] | NoSolution]:
     """Operating points of many input pairs, solved as one batch.
 
-    Entry k is what find_all_solutions(inputs[k], ..., extra_seeds[k]) returns
+    Entry k is what find_all_solutions(inputs[k], ...) returns
     (the operating points sorted by (I1_in, I2_in)) or the NoSolution it
     raises. A cell's result does not depend on the other cells of the batch:
     every evaluation is per point and every merge per cell; the batch only
@@ -413,24 +413,21 @@ def solve_cells(
         grid, lo[c], hi[c] = grids[c]
         if sel.any() and np.nanmax(etas_probe[sel]) > 1.0 + GAIN_TOL:
             grid, lo[c], hi[c] = _seed_grid(inp, cav, cfg, widen=10.0)
-        extra = extra_seeds[c] if extra_seeds is not None else None
-        if extra is not None and len(extra):
-            grid = np.concatenate([np.asarray(extra, dtype=float).reshape(-1, 2), grid])
         seeds.append(grid)
         seed_cell.append(np.full(len(grid), c))
 
     return _solve_seeded(I0, lo, hi, np.concatenate(seeds), np.concatenate(seed_cell),
-                         cav, cfg, response)
+                         cav, response)
 
 
-def _solve_seeded(I0, lo, hi, seeds, seed_cell, cav, cfg, response):
+def _solve_seeded(I0, lo, hi, seeds, seed_cell, cav, response):
     """Newton from given seeds, then re-verification and classification.
 
     Cell c has inputs I0[c] and seed box [lo[c], hi[c]]; seed k belongs to
     cell seed_cell[k], which is non-decreasing. Returns per cell the verified
     operating points sorted by (I1_in, I2_in), or NoSolution.
     """
-    roots, root_cell, skipped = _newton_roots(I0, lo, hi, seeds, seed_cell, cav, cfg, response)
+    roots, root_cell, skipped = _newton_roots(I0, lo, hi, seeds, seed_cell, cav, response)
     ops = _operating_points(roots, I0[root_cell], cav, response)
     bounds = np.searchsorted(root_cell, np.arange(len(I0) + 1))
     results = []
@@ -440,7 +437,7 @@ def _solve_seeded(I0, lo, hi, seeds, seed_cell, cav, cfg, response):
             results.append(NoSolution(InputPoint(i1, i2), skipped=1))
             continue
         scale = max(i1, i2, 1.0)
-        mine = sorted((op for op in mine if op.residual < 10.0 * cfg.tol * scale),
+        mine = sorted((op for op in mine if op.residual < 10.0 * NEWTON_TOL * scale),
                       key=lambda op: (op.I1_in, op.I2_in))
         results.append(mine or NoSolution(InputPoint(i1, i2), skipped=int(skipped[c])))
     return results
@@ -451,16 +448,15 @@ def find_all_solutions(
     cav: CavityParams,
     cfg: SolverConfig,
     response,
-    extra_seeds: Sequence[tuple[float, float]] | None = None,
 ) -> list[OperatingPoint]:
     """All operating points for one input pair, sorted by (I1_in, I2_in).
 
-    Damped Newton is launched from every node of a log-spaced seed grid (plus
-    optional warm-start seeds); converged roots are deduplicated, re-verified
-    and classified. Raises NoSolution when nothing converges. This is the
-    one-cell case of solve_cells.
+    Damped Newton is launched from every node of a log-spaced seed grid;
+    converged roots are deduplicated, re-verified and classified. Raises
+    NoSolution when nothing converges. This is the one-cell case of
+    solve_cells.
     """
-    result = solve_cells([inp], cav, cfg, response, [extra_seeds])[0]
+    result = solve_cells([inp], cav, cfg, response)[0]
     if isinstance(result, NoSolution):
         raise result
     return result
@@ -516,18 +512,17 @@ def correct_root(
     response,
     start: tuple[float, float],
     max_move: float,
-    tol: float = 1e-12,
 ) -> tuple[float, float] | None:
     """Stable operating point near `start` by exact-Jacobian Newton, or None.
 
     The sweep's corrector: Newton on the closed system from the previous
     sample's state, which converges quadratically where iterate_map converges
     at the rate of the round-trip spectral radius, slow near the folds. The
-    root is returned only if Newton reaches a residual below `tol` relative to
-    the intensities within CORRECTOR_MAX_ITER evaluations, its round-trip
-    Jacobian has spectral radius below 1 (Newton finds unstable roots as
-    readily as stable ones) and no intensity moved by more than `max_move`
-    relative to `start` (a branch switch is left to iterate_map).
+    root is returned only if Newton reaches a residual below CORRECTOR_TOL
+    relative to the intensities within CORRECTOR_MAX_ITER evaluations, its
+    round-trip Jacobian has spectral radius below 1 (Newton finds unstable
+    roots as readily as stable ones) and no intensity moved by more than
+    `max_move` relative to `start` (a branch switch is left to iterate_map).
     """
     I0 = np.array([inp.I1_0, inp.I2_0])
     x0 = np.array(start, dtype=float)
@@ -536,7 +531,7 @@ def correct_root(
         r, etas, ok, J, deta = _residual_batch(x, I0, cav, response, jacobian=True)
         if not (ok[0] and np.isfinite(J).all()):
             return None
-        if np.max(np.abs(r[0]) / x[0]) < tol:
+        if np.max(np.abs(r[0]) / x[0]) < CORRECTOR_TOL:
             break
         step, _ = _newton_step(r, J)
         x = x + step

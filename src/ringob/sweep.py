@@ -7,11 +7,14 @@ the branch wherever the corrected root is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .feedback import CavityParams, InputPoint, IterationResult, correct_root, iterate_map
+
+# a jump's comparison scale is floored at this share of the channel's peak input
+JUMP_INPUT_FLOOR = 1e-9
 
 
 class AbscissaMismatch(ValueError):
@@ -137,8 +140,7 @@ def _cold_start(inp: InputPoint, cav: CavityParams, response):
     return i1, i2
 
 
-def _run_pass(t, i1_0, i2_0, cav, response, max_steps, tol,
-              max_move) -> tuple[SweepTrace, int]:
+def _run_pass(t, i1_0, i2_0, cav, response, max_move) -> tuple[SweepTrace, int]:
     """One directional pass and its number of fallbacks: samples whose
     iteration starts from a cold start or from the previous state because the
     corrector refused (see correct_root)."""
@@ -154,14 +156,12 @@ def _run_pass(t, i1_0, i2_0, cav, response, max_steps, tol,
         if state is None:
             state = _cold_start(inp, cav, response)
         else:
-            root = correct_root(inp, cav, response, state, max_move, tol)
+            root = correct_root(inp, cav, response, state, max_move)
         fallbacks += root is None
-        res: IterationResult = iterate_map(inp, cav, response, root or state,
-                                           max_steps=max_steps, tol=tol)
+        res: IterationResult = iterate_map(inp, cav, response, root or state)
         if not res.converged:
             # retry once from a cold start before flagging the sample
-            res = iterate_map(inp, cav, response, _cold_start(inp, cav, response),
-                              max_steps=max_steps, tol=tol)
+            res = iterate_map(inp, cav, response, _cold_start(inp, cav, response))
         if res.converged:
             conv[k] = True
             I1, I2 = res.point
@@ -183,12 +183,11 @@ def _run_pass(t, i1_0, i2_0, cav, response, max_steps, tol,
     return trace, fallbacks
 
 
-def detect_jumps(trace: SweepTrace, threshold: float = 0.5,
-                 input_floor: float = 1e-9) -> list[Jump]:
+def detect_jumps(trace: SweepTrace, threshold: float = 0.5) -> list[Jump]:
     """Relative output discontinuities between consecutive converged samples.
 
-    The comparison scale is floored at `input_floor` times the channel's peak
-    input, so that order-of-magnitude wander of a deeply absorbed output
+    The comparison scale is floored at JUMP_INPUT_FLOOR times the channel's
+    peak input, so that order-of-magnitude wander of a deeply absorbed output
     (numerically zero relative to its own drive) does not register as
     switching. A step must also stand out against the trace's median
     log-slope: strong absorption varies (doubly) exponentially but smoothly
@@ -200,7 +199,7 @@ def detect_jumps(trace: SweepTrace, threshold: float = 0.5,
         y = getattr(trace, name)
         drive = getattr(trace, inp_name)
         peak_in = float(np.nanmax(np.abs(drive))) if len(drive) else 0.0
-        floor = max(input_floor * peak_in, 1e-30)
+        floor = max(JUMP_INPUT_FLOOR * peak_in, 1e-30)
         # slope statistic on unfloored magnitudes: deep absorption must keep
         # its (large, smooth) log-slope so the median reflects it
         logs = np.log10(np.maximum(np.abs(y), 1e-300))
@@ -238,7 +237,6 @@ def loop_area(forward: SweepTrace, backward: SweepTrace, output_index: int) -> f
 
 
 def run_sweep(spec, cav: CavityParams, response,
-              max_steps: int = 2000, tol: float = 1e-12,
               jump_threshold: float = 0.5) -> SweepResult:
     """Forward then backward quasi-static pass along an AxisSweep or
     ParametricPath, with jump detection and hysteresis loop areas.
@@ -249,14 +247,11 @@ def run_sweep(spec, cav: CavityParams, response,
     correction.
     """
     t, i1, i2 = spec.samples()
-    fwd, fb_fwd = _run_pass(t, i1, i2, cav, response, max_steps, tol, jump_threshold)
+    fwd, fb_fwd = _run_pass(t, i1, i2, cav, response, jump_threshold)
     bwd_rev, fb_bwd = _run_pass(t[::-1], i1[::-1], i2[::-1], cav, response,
-                                max_steps, tol, jump_threshold)
-    bwd = SweepTrace(**{
-        k: getattr(bwd_rev, k)[::-1].copy()
-        for k in ("t", "I1_0", "I2_0", "I1_in", "I2_in",
-                  "eta1", "eta2", "I1_out", "I2_out", "converged")
-    })
+                                jump_threshold)
+    bwd = SweepTrace(**{f.name: getattr(bwd_rev, f.name)[::-1].copy()
+                        for f in fields(SweepTrace)})
     result = SweepResult(forward=fwd, backward=bwd, fallbacks=fb_fwd + fb_bwd)
     result.jumps_forward = detect_jumps(fwd, jump_threshold)
     result.jumps_backward = detect_jumps(bwd, jump_threshold)
@@ -265,22 +260,15 @@ def run_sweep(spec, cav: CavityParams, response,
     return result
 
 
-SWEEP_COLUMNS = ["t", "I1_0", "I2_0", "I1_in", "I2_in", "eta1", "eta2",
-                 "I1_out", "I2_out", "converged"]
+SWEEP_COLUMNS = [f.name for f in fields(SweepTrace)]
 JUMP_COLUMNS = ["t", "output_index", "before", "after"]
 
 
 def trace_rows(trace: SweepTrace):
-    rows = []
-    for k in range(len(trace.t)):
-        rows.append([
-            float(trace.t[k]), float(trace.I1_0[k]), float(trace.I2_0[k]),
-            float(trace.I1_in[k]), float(trace.I2_in[k]),
-            float(trace.eta1[k]), float(trace.eta2[k]),
-            float(trace.I1_out[k]), float(trace.I2_out[k]),
-            int(trace.converged[k]),
-        ])
-    return rows
+    """Per-sample rows in SWEEP_COLUMNS order; `converged` as 0 or 1."""
+    columns = [getattr(trace, name).astype(int if name == "converged" else float).tolist()
+               for name in SWEEP_COLUMNS]
+    return [list(row) for row in zip(*columns)]
 
 
 def jump_rows(jumps: list[Jump]):

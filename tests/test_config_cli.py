@@ -10,11 +10,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ringob import feedback
 from ringob.atom import CellResponse, DriveParams, OpticalConstants, steady_state
 from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, cmd_steady, fmt, main
 from ringob.config import ParseError, ValidationError, load_config
 from ringob.domain import GridSpec
-from ringob.feedback import SolverConfig
 from ringob.sweep import AxisSweep, ParametricPath
 
 NAN, INF = float("nan"), float("inf")
@@ -62,9 +62,11 @@ class TestValidation:
     def test_unknown_section_key(self):
         with pytest.raises(ValidationError, match="atom.bogus"):
             load_config(text='{"atom": {"bogus": 1}}')
-        # a solver constant, not a setting
-        with pytest.raises(ValidationError, match="^unknown key solver.damping$"):
-            load_config(text='{"solver": {"damping": 0.5}}')
+        # solver constants, not settings
+        for key, value in (("damping", 0.5), ("tol", 1e-10), ("newton_max_iter", 40),
+                           ("dedup_radius", 1e-4)):
+            with pytest.raises(ValidationError, match=f"^unknown key solver.{key}$"):
+                load_config(text=json.dumps({"solver": {key: value}}))
 
     def test_reflectivity_bound(self):
         with pytest.raises(ValidationError, match="R1"):
@@ -102,10 +104,9 @@ class TestValidation:
         with pytest.raises(ValidationError, match="eta_absorbing"):
             load_config(text='{"thresholds": {"eta_absorbing": 0.95}}')
 
-    # an accepted NaN labels every map cell failed (solver.tol), switches jump
-    # detection off (jump_threshold) or fails late under another name (i1_max)
+    # an accepted NaN switches jump detection off (jump_threshold) or fails
+    # late under another name (i1_max)
     @pytest.mark.parametrize("section, key, literal", [
-        ("solver", "tol", "NaN"),
         ("thresholds", "jump_threshold", "NaN"),
         ("grid", "i1_max", "NaN"),
         ("point", "I1_0", "Infinity"),
@@ -120,8 +121,6 @@ class TestValidation:
     def test_relation_errors_name_key(self):
         with pytest.raises(ValidationError, match="^grid\\.i1_max: must be finite"):
             load_config(text='{"grid": {"i1_max": 0.001}}')
-        with pytest.raises(ValidationError, match="^solver\\.dedup_radius: must exceed"):
-            load_config(text='{"solver": {"dedup_radius": 1e-12}}')
 
     def test_dotted_overrides(self):
         cfg = load_config(text='{"point": {"I1_0": 3.0}}',
@@ -170,7 +169,6 @@ def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: SolverConfig(tol=NAN),
     lambda: GridSpec(i1_max=NAN),
     lambda: GridSpec(i1_min=NAN),
     lambda: OpticalConstants(Na=NAN),
@@ -179,7 +177,7 @@ def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
     lambda: AxisSweep(axis=1, start=NAN, stop=1.0, steps=5, fixed=0.1),
     lambda: AxisSweep(axis=1, start=0.5, stop=1.0, steps=5, fixed=INF),
     lambda: ParametricPath(waypoints=[(1.0, NAN), (2.0, 0.05)], steps=5),
-], ids=["solver-tol", "grid-i1_max", "grid-i1_min",
+], ids=["grid-i1_max", "grid-i1_min",
         "constants-Na", "constants-D1", "constants-intensity_scale1",
         "axis-start", "axis-fixed", "path-waypoint"])
 def test_domain_types_reject_non_finite(build):
@@ -310,7 +308,7 @@ class TestCli:
 
     def test_non_finite_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"solver": {"tol": NaN}}')
+        bad.write_text('{"cavity": {"R1": NaN}}')
         out = tmp_path / "o"
         assert main(["map", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
@@ -347,9 +345,10 @@ class TestCli:
         table, fold = (int(g) for g in match.groups())
         assert table == 200 ** 2 + 81 * fold
 
-    def test_map_all_cells_failed_exit_2(self, tmp_path, capsys):
+    def test_map_all_cells_failed_exit_2(self, tmp_path, capsys, monkeypatch):
         # one Newton iteration converges nowhere, so every cell fails
-        cfg = dict(SMALL, solver={"seed_grid": 8, "newton_max_iter": 1})
+        monkeypatch.setattr(feedback, "NEWTON_MAX_ITER", 1)
+        cfg = dict(SMALL, solver={"seed_grid": 8})
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(cfg))
         out = tmp_path / "o"

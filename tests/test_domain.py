@@ -168,14 +168,6 @@ class TestMapping:
         bist = stub_map.region == "bistable"
         assert (stub_map.stable_count[bist] == 2).all()
 
-    def test_thread_determinism(self):
-        grid = GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=10,
-                        i2_min=0.5, i2_max=2.0, i2_steps=3)
-        m1 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=1)
-        m8 = map_domain(grid, CAV, SigmoidResponse(), CFG, threads=8)
-        assert map_rows(m1) == map_rows(m8)
-        assert boundary_rows(m1) == boundary_rows(m8)
-
     def test_failed_label(self):
         class Broken:
             def etas(self, I1, I2, jacobian=False):
@@ -197,8 +189,7 @@ class TestMapping:
             assert a1[i] == pytest.approx(value, rel=1e-2)
             assert (stub_map.solution_count[i] == 3).all()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_programming_error_propagates(self, threads):
+    def test_programming_error_propagates(self):
         class Raising:
             def etas(self, I1, I2, jacobian=False):
                 raise RuntimeError("bug in the response")
@@ -206,7 +197,7 @@ class TestMapping:
         grid = GridSpec(i1_min=1.0, i1_max=2.0, i1_steps=2,
                         i2_min=1.0, i2_max=2.0, i2_steps=2)
         with pytest.raises(RuntimeError, match="bug in the response"):
-            map_domain(grid, CAV, Raising(), CFG, threads=threads)
+            map_domain(grid, CAV, Raising(), CFG)
 
 
 def cell_table(results):

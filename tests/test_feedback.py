@@ -250,16 +250,6 @@ class TestRealResponse:
         assert len(ops) == 1
         assert len(calls) < 40
 
-    def test_warm_start_equivalence(self, response):
-        inp = InputPoint(2.56, 0.05)
-        cfg = SolverConfig(seed_grid=12)
-        cold = find_all_solutions(inp, CavityParams(), cfg, response)
-        warm = find_all_solutions(inp, CavityParams(), cfg, response,
-                                  extra_seeds=[(op.I1_in, op.I2_in) for op in cold])
-        assert len(cold) == len(warm)
-        for a, b in zip(cold, warm):
-            assert a.I1_in == pytest.approx(b.I1_in, rel=1e-8)
-
 
 class TestValidation:
     def test_reflectivity_bounds(self):
@@ -273,10 +263,8 @@ class TestValidation:
             InputPoint(-1.0, 0.0)
 
     def test_solver_config_bounds(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(dedup_radius=1e-12, tol=1e-10)
+        with pytest.raises(ValueError, match="^seed_grid: must be positive"):
+            SolverConfig(seed_grid=0)
 
     def test_no_solution_reports_input(self):
         class Broken:
@@ -346,9 +334,9 @@ def assert_same_results(batched, single):
             assert got == want       # every field, bit for bit, same order
 
 
-def one_cell(inp, cav, cfg, response, seeds):
+def one_cell(inp, cav, cfg, response):
     try:
-        return find_all_solutions(inp, cav, cfg, response, extra_seeds=seeds)
+        return find_all_solutions(inp, cav, cfg, response)
     except NoSolution as exc:
         return exc
 
@@ -356,17 +344,13 @@ def one_cell(inp, cav, cfg, response, seeds):
 class TestSolveCells:
     def test_acceptance_row_matches_one_cell_solves(self, response):
         """Row I1_0 = 2.674 of the 12x12 acceptance window (one three-root
-        cell), warm-started from the row below as the map does."""
+        cell)."""
         cav, cfg = CavityParams(), SolverConfig(seed_grid=12)
         a1, a2 = np.geomspace(0.5, 20.0, 12), np.geomspace(5e-3, 2.0, 12)
-        below = solve_cells([InputPoint(float(a1[4]), float(v)) for v in a2], cav, cfg,
-                            response)
-        seeds = [[(op.I1_in, op.I2_in) for op in ops] for ops in below]
         inputs = [InputPoint(float(a1[5]), float(v)) for v in a2]
-        batched = solve_cells(inputs, cav, cfg, response, seeds)
+        batched = solve_cells(inputs, cav, cfg, response)
         assert [len(ops) for ops in batched].count(3) == 1
-        assert_same_results(batched, [one_cell(inp, cav, cfg, response, s)
-                                      for inp, s in zip(inputs, seeds)])
+        assert_same_results(batched, [one_cell(inp, cav, cfg, response) for inp in inputs])
 
     def test_failed_cell_leaves_others(self):
         """A stub that fails below I2 = 1: the cell whose root lies there has
@@ -379,9 +363,7 @@ class TestSolveCells:
 
         cav, cfg = CavityParams(R1=0.9, R2=0.5), SolverConfig(seed_grid=16)
         inputs = [InputPoint(3.2, v) for v in (0.5, 1.0, 2.0, 4.0)]
-        seeds = [None, [(3.5, 1.4)], None, [(4.0, 5.3), (9.0, 5.3)]]
-        batched = solve_cells(inputs, cav, cfg, Gapped(), seeds)
+        batched = solve_cells(inputs, cav, cfg, Gapped())
         assert isinstance(batched[0], NoSolution)
         assert [len(ops) for ops in batched[1:]] == [3, 3, 3]
-        assert_same_results(batched, [one_cell(inp, cav, cfg, Gapped(), s)
-                                      for inp, s in zip(inputs, seeds)])
+        assert_same_results(batched, [one_cell(inp, cav, cfg, Gapped()) for inp in inputs])
