@@ -189,10 +189,18 @@ class TestMapping:
             assert a1[i] == pytest.approx(value, rel=1e-2)
             assert (stub_map.solution_count[i] == 3).all()
 
-    def test_programming_error_propagates(self):
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_programming_error_propagates(self, failing_call):
+        # the response raises on its first evaluation, or on its second
+        # after one that succeeded
         class Raising:
+            calls = 0
+
             def etas(self, I1, I2, jacobian=False):
-                raise RuntimeError("bug in the response")
+                self.calls += 1
+                if self.calls == failing_call:
+                    raise RuntimeError("bug in the response")
+                return SigmoidResponse().etas(I1, I2, jacobian=jacobian)
 
         grid = GridSpec(i1_min=1.0, i1_max=2.0, i1_steps=2,
                         i2_min=1.0, i2_max=2.0, i2_steps=2)
