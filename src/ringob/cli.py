@@ -19,8 +19,7 @@ from . import atom as atom_mod
 from .atom import (
     ApproxCellResponse,
     CellResponse,
-    DriveParams,
-    steady_state,
+    SteadyStateProblem,
     two_level_im_rho12,
     two_level_im_rho32,
 )
@@ -215,6 +214,8 @@ APPROX_COLUMNS = ["omega1", "omega2", "delta",
 
 
 def cmd_approx(cfg: RunConfig, emitter: _Emitter) -> int:
+    if not cfg.atom.gamma_2to3 > 0:
+        raise ValueError("atom.gamma_2to3: must be positive for the two-level approximation")
     atom = cfg.atom.build()
     constants = cfg.constants.build()
     delta = atom.eps1
@@ -223,22 +224,24 @@ def cmd_approx(cfg: RunConfig, emitter: _Emitter) -> int:
     G21 = float(atom.Gamma[0, 1])
     omegas = np.geomspace(cfg.approx.omega_min, cfg.approx.omega_max,
                           cfg.approx.omega_steps)
+    om1, om2 = (mesh.ravel() for mesh in np.meshgrid(omegas, omegas, indexing="ij"))
+    problem = SteadyStateProblem(atom)
+    x, _, ok = problem.solve_batch(om1, om2)
+    if not ok.all():    # raises SingularSteadyState at the first failed point
+        problem.solve(om1[~ok][0], om2[~ok][0])
     rows = []
-    for om1 in omegas:
-        for om2 in omegas:
-            dm = steady_state(atom, DriveParams(float(om1), float(om2)))
-            exact12 = float(dm.rho[0, 1].imag)
-            exact32 = float(dm.rho[2, 1].imag)
-            try:
-                approx12 = two_level_im_rho12(float(om1), float(om2), delta, g21, G21)
-                approx32 = two_level_im_rho32(float(om1), float(om2), delta, g21, g23, G21)
-            except atom_mod.DegenerateDenominator:
-                approx12 = float("nan")
-                approx32 = float("nan")
-            dev12 = abs(approx12 - exact12) / max(abs(exact12), 1e-300)
-            dev32 = abs(approx32 - exact32) / max(abs(exact32), 1e-300)
-            rows.append([float(om1), float(om2), delta,
-                         exact12, approx12, exact32, approx32, dev12, dev32])
+    # Im rho_12 = x[3] and Im rho_32 = -Im rho_23 = -x[7] (see density_matrix)
+    for o1, o2, exact12, exact32 in zip(om1.tolist(), om2.tolist(),
+                                        x[:, 3].tolist(), (-x[:, 7]).tolist()):
+        try:
+            approx12 = two_level_im_rho12(o1, o2, delta, g21, G21)
+            approx32 = two_level_im_rho32(o1, o2, delta, g21, g23, G21)
+        except atom_mod.DegenerateDenominator:
+            approx12 = float("nan")
+            approx32 = float("nan")
+        dev12 = abs(approx12 - exact12) / max(abs(exact12), 1e-300)
+        dev32 = abs(approx32 - exact32) / max(abs(exact32), 1e-300)
+        rows.append([o1, o2, delta, exact12, approx12, exact32, approx32, dev12, dev32])
     emitter.emit("approx_table", APPROX_COLUMNS, rows)
 
     grid = cfg.grid.build()

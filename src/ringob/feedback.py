@@ -512,14 +512,15 @@ def correct_root(
     response,
     start: tuple[float, float],
     max_move: float,
-) -> tuple[float, float] | None:
-    """Stable operating point near `start` by exact-Jacobian Newton, or None.
+) -> tuple[tuple[float, float], np.ndarray] | None:
+    """((I1, I2), etas) of a stable operating point near `start`, or None.
 
-    The sweep's corrector: Newton on the closed system from the previous
-    sample's state, which converges quadratically where iterate_map converges
-    at the rate of the round-trip spectral radius, slow near the folds. The
-    root is returned only if Newton reaches a residual below CORRECTOR_TOL
-    relative to the intensities within CORRECTOR_MAX_ITER evaluations, its
+    The sweep's corrector: exact-Jacobian Newton on the closed system from the
+    previous sample's state, which converges quadratically where iterate_map
+    converges at the rate of the round-trip spectral radius, slow near the
+    folds. The root is returned only if Newton reaches a residual below
+    CORRECTOR_TOL relative to the intensities within CORRECTOR_MAX_ITER
+    evaluations (etas are eta (2,) of that last evaluation, at the root), its
     round-trip Jacobian has spectral radius below 1 (Newton finds unstable
     roots as readily as stable ones) and no intensity moved by more than
     `max_move` relative to `start` (a branch switch is left to iterate_map).
@@ -543,4 +544,4 @@ def correct_root(
         return None
     if np.any(np.abs(x[0] - x0) > max_move * x0):
         return None
-    return float(x[0, 0]), float(x[0, 1])
+    return (float(x[0, 0]), float(x[0, 1])), etas[0]

@@ -1,8 +1,8 @@
 """Quasi-static hysteresis sweeps: drag the input intensities along an axis or
 a parametric path, follow the physically selected branch, and locate output
 jumps between branches. Each sample is corrected by Newton from the previous
-sample's state and checked by the round-trip iteration, which also follows
-the branch wherever the corrected root is refused.
+sample's state; the round-trip iteration follows the branch wherever the
+corrected root is refused.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .feedback import CavityParams, InputPoint, IterationResult, correct_root, iterate_map
+from .feedback import CavityParams, InputPoint, correct_root, iterate_map
 
 # a jump's comparison scale is floored at this share of the channel's peak input
 JUMP_INPUT_FLOOR = 1e-9
@@ -141,45 +141,39 @@ def _cold_start(inp: InputPoint, cav: CavityParams, response):
 
 
 def _run_pass(t, i1_0, i2_0, cav, response, max_move) -> tuple[SweepTrace, int]:
-    """One directional pass and its number of fallbacks: samples whose
-    iteration starts from a cold start or from the previous state because the
-    corrector refused (see correct_root)."""
+    """One directional pass and its number of fallbacks: samples that
+    iterate_map finds because correct_root refused or the sample starts cold."""
     n = len(t)
-    out = {k: np.full(n, np.nan) for k in
-           ("I1_in", "I2_in", "eta1", "eta2", "I1_out", "I2_out")}
+    columns = ("I1_in", "I2_in", "eta1", "eta2", "I1_out", "I2_out")
+    values = np.full((n, len(columns)), np.nan)
     conv = np.zeros(n, dtype=bool)
     state = None
     fallbacks = 0
     for k in range(n):
         inp = InputPoint(float(i1_0[k]), float(i2_0[k]))
-        root = None
-        if state is None:
-            state = _cold_start(inp, cav, response)
-        else:
-            root = correct_root(inp, cav, response, state, max_move)
-        fallbacks += root is None
-        res: IterationResult = iterate_map(inp, cav, response, root or state)
-        if not res.converged:
-            # retry once from a cold start before flagging the sample
-            res = iterate_map(inp, cav, response, _cold_start(inp, cav, response))
-        if res.converged:
+        cold = state is None
+        root = None if cold else correct_root(inp, cav, response, state, max_move)
+        if root is None:
+            fallbacks += 1
+            res = iterate_map(inp, cav, response,
+                              _cold_start(inp, cav, response) if cold else state)
+            if not (res.converged or cold):
+                # retry once from a cold start before flagging the sample
+                res = iterate_map(inp, cav, response, _cold_start(inp, cav, response))
+            if not res.converged:
+                state = None    # cold restart on the next sample
+                continue
+            e1, e2, ok = response.etas([res.point[0]], [res.point[1]])
+            root = res.point, ((float(e1[0]), float(e2[0])) if ok[0] else None)
+        (I1, I2), etas = root
+        state = (max(I1, 1e-9), max(I2, 1e-9))
+        if etas is not None:
+            e1, e2 = etas
             conv[k] = True
-            I1, I2 = res.point
-            e1, e2, ok = response.etas([I1], [I2])
-            if ok[0]:
-                out["I1_in"][k] = I1
-                out["I2_in"][k] = I2
-                out["eta1"][k] = float(e1[0])
-                out["eta2"][k] = float(e2[0])
-                out["I1_out"][k] = I1 * float(e1[0])
-                out["I2_out"][k] = I2 * float(e2[0])
-            else:
-                conv[k] = False
-            state = (max(I1, 1e-9), max(I2, 1e-9))
-        else:
-            state = None    # cold restart on the next sample
+            values[k] = I1, I2, e1, e2, I1 * e1, I2 * e2
     trace = SweepTrace(t=np.asarray(t, dtype=float), I1_0=np.asarray(i1_0, dtype=float),
-                       I2_0=np.asarray(i2_0, dtype=float), converged=conv, **out)
+                       I2_0=np.asarray(i2_0, dtype=float), converged=conv,
+                       **dict(zip(columns, values.T)))
     return trace, fallbacks
 
 

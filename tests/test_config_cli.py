@@ -160,8 +160,13 @@ def test_cli_rejects_bad_value_naming_key(section, key, literal, tmp_path, capsy
     (["map", "--threads", "-1"], "threads"),
     (["map", "--threads", "2.5"], "threads"),
     (["map", "--format", "xml"], "format"),
+    (["approx", "--config", '{"atom": {"gamma_2to3": 0}}'], "atom.gamma_2to3"),
 ])
 def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
+    if "--config" in argv:  # the argument after it is the config's text
+        i = argv.index("--config") + 1
+        (tmp_path / "c.json").write_text(argv[i])
+        argv = argv[:i] + [str(tmp_path / "c.json")] + argv[i + 1:]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {key}: ")

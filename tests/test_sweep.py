@@ -57,6 +57,28 @@ class SigmoidResponse:
         return e1, np.full_like(e1, 0.5), ok, deta
 
 
+class FailingResponse:
+    """Every evaluation fails (ok is False)."""
+
+    def etas(self, I1, I2, jacobian=False):
+        nan = np.full(len(np.atleast_1d(I1)), np.nan)
+        out = (nan, nan, np.zeros(len(nan), dtype=bool))
+        return out + (np.full((len(nan), 2, 2), np.nan),) if jacobian else out
+
+
+@pytest.fixture
+def iterate_calls(monkeypatch):
+    """Records each iterate_map call that run_sweep makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return iterate_map(*args, **kwargs)
+
+    monkeypatch.setattr("ringob.sweep.iterate_map", counting)
+    return calls
+
+
 def flat_trace(t, y1, y2, converged=None):
     n = len(t)
     conv = np.ones(n, dtype=bool) if converged is None else np.asarray(converged)
@@ -165,7 +187,7 @@ class TestRunSweep:
         assert res.loop_area_1 == 0.0 and res.loop_area_2 == 0.0
         assert res.jumps_forward == []
 
-    def test_sigmoid_hysteresis(self):
+    def test_sigmoid_hysteresis(self, iterate_calls):
         cav = CavityParams(R1=0.9, R2=0.5)
         sw = AxisSweep(axis=1, start=1.0, stop=8.0, steps=60, fixed=1.0)
         res = run_sweep(sw, cav, SigmoidResponse())
@@ -177,6 +199,17 @@ class TestRunSweep:
         assert res.loop_area_1 > 0
         # one cold start per pass; each jump sample is refused by the corrector
         assert res.fallbacks == 4
+        # an accepted root is the sample: only the fallbacks iterate
+        assert len(iterate_calls) == res.fallbacks
+
+    def test_failed_cold_start_is_not_retried(self, iterate_calls):
+        # every sample starts cold and fails; a retry would repeat the same
+        # deterministic iteration from the same start
+        sw = AxisSweep(axis=1, start=1.0, stop=2.0, steps=5, fixed=1.0)
+        res = run_sweep(sw, CavityParams(), FailingResponse())
+        assert not (res.forward.converged.any() or res.backward.converged.any())
+        assert np.isnan(res.forward.I1_in).all()
+        assert len(iterate_calls) == res.fallbacks == 2 * 5
 
     def test_backward_on_forward_abscissa(self):
         sw = AxisSweep(axis=1, start=1.0, stop=2.0, steps=7, fixed=1.0)
@@ -223,9 +256,12 @@ class TestCorrector:
         assert correct_root(inp, SIGMOID_CAV, SigmoidResponse(),
                             (mid.I1_in, mid.I2_in), max_move=0.5) is None
         for op in (low, high):
-            root = correct_root(inp, SIGMOID_CAV, SigmoidResponse(),
-                                (1.01 * op.I1_in, op.I2_in), max_move=0.5)
+            root, etas = correct_root(inp, SIGMOID_CAV, SigmoidResponse(),
+                                      (1.01 * op.I1_in, op.I2_in), max_move=0.5)
             assert root == pytest.approx((op.I1_in, op.I2_in), rel=1e-11)
+            # eta of the corrector's last evaluation, at the root itself
+            e1, e2, _ = SigmoidResponse().etas([root[0]], [root[1]])
+            assert etas.tolist() == [e1[0], e2[0]]
 
     def test_refuses_a_move_beyond_max_move(self):
         inp = InputPoint(2.0, 0.5)
@@ -251,7 +287,7 @@ class TestCorrector:
         cav = CavityParams()
         res = run_sweep(AxisSweep(axis=1, start=1.5, stop=3.5, steps=40,
                                   fixed=float(fixed)), cav, response)
-        assert len(calls) <= 10 * 2 * 40
+        assert len(calls) <= 7 * 2 * 40
         for tr in (res.forward, res.backward):
             assert tr.converged.all()
             I = np.stack([tr.I1_in, tr.I2_in], axis=1)
