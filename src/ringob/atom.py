@@ -106,10 +106,8 @@ class DriveParams:
 class OpticalConstants:
     """Cell constants entering the susceptibility and absorption factor.
 
-    k is the optical wavenumber in cm^-1 (default 2*pi / 0.5e-4 cm).  C1/C2,
-    when set, override the coupling prefactor Na*|Dj|^2/hbar computed from the
-    tabulated values.  intensity_scale{1,2} set the intensity-to-Rabi
-    normalization Omega_j = scale_j * sqrt(I_j).
+    k is the optical wavenumber in cm^-1 (default 2*pi / 0.5e-4 cm) and L the
+    cell length in cm.
     """
 
     Na: float = 1e12
@@ -117,33 +115,22 @@ class OpticalConstants:
     D2: float = 1e-18
     k: float = 2 * np.pi / 0.5e-4
     L: float = 5.0
-    include_length: bool = True
-    C1: float | None = None
-    C2: float | None = None
-    intensity_scale1: float = 1.0
-    intensity_scale2: float = 1.0
 
     def __post_init__(self):
-        for name in ("Na", "k", "L", "intensity_scale1", "intensity_scale2"):
+        for name in ("Na", "k", "L"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name}: must be positive and finite, got {v}")
-        for name in ("D1", "D2", "C1", "C2"):
+        for name in ("D1", "D2"):
             v = getattr(self, name)
-            if v is not None and not (np.isfinite(v) and v >= 0):
+            if not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name}: must be finite and >= 0, got {v}")
 
     def coupling(self, mode: int) -> float:
-        """Prefactor C_j such that chi_j = C_j * rho_coh / Omega_j (dimensionless)."""
-        override = self.C1 if mode == 1 else self.C2
-        if override is not None:
-            return override
+        """Prefactor C_j = Na |D_j|^2 / hbar such that chi_j = C_j * rho_coh /
+        Omega_j (dimensionless)."""
         D = self.D1 if mode == 1 else self.D2
         return self.Na * D * D / (HBAR_CGS * FREQ_UNIT)
-
-    @property
-    def path_length(self) -> float:
-        return self.L if self.include_length else 1.0
 
 
 @dataclass
@@ -397,7 +384,7 @@ _CONJ_21 = np.array([[-1.0], [1.0]])
 class CellResponse:
     """Batched absorption factors eta_j(I1_in, I2_in) of the atomic cell.
 
-    Intensities are in units of Omega^2 (Omega_j = scale_j * sqrt(I_j)). The
+    Intensities are in units of Omega^2 (Omega_j = sqrt(I_j)). The
     coherences come from the exact stationary density matrix; subclasses
     replace `coherences` and share `optics` (chi -> eta) and the chain rule
     of `etas`.
@@ -409,8 +396,7 @@ class CellResponse:
         self.problem = SteadyStateProblem(atom)
         # per-mode constants as columns, to broadcast against (2, n) arrays
         self._c = np.array([[constants.coupling(1)], [constants.coupling(2)]])
-        self._scale = np.array([[constants.intensity_scale1], [constants.intensity_scale2]])
-        self._exponent = 2.0 * constants.k * constants.path_length
+        self._exponent = 2.0 * constants.k * constants.L
 
     def coherences(self, om1, om2, jacobian=False):
         """Excited-ground coherences (rho_21, rho_23) as a (2, n) array and the ok mask.
@@ -454,7 +440,7 @@ class CellResponse:
         I2 = np.atleast_1d(np.asarray(I2, dtype=float))
         I1, I2 = np.broadcast_arrays(I1, I2)
         positive = (I1 > 0) & (I2 > 0) & np.isfinite(I1) & np.isfinite(I2)
-        om = self._scale * np.sqrt(np.where(positive, [I1, I2], 1.0))
+        om = np.sqrt(np.where(positive, [I1, I2], 1.0))
         coh, ok, *dcoh = self.coherences(om[0], om[1], jacobian=jacobian)
         ok = ok & positive
         _, root, arg, eta = self.optics(om, coh)
@@ -466,8 +452,8 @@ class CellResponse:
         dchi = dcoh[0] - _EYE2[:, :, None] * (coh / om)[:, None, :]
         deta = ((2.0 * np.pi) * self._c / (om * root))[:, None, :] * dchi
         slope = np.where(arg < _ETA_EXP_CAP, self._exponent * eta, 0.0)
-        # d omega_j / d I_j = scale_j^2 / (2 omega_j)
-        deta = deta.imag * slope[:, None, :] * (self._scale**2 / (2.0 * om))[None, :, :]
+        # d omega_j / d I_j = 1 / (2 omega_j)
+        deta = deta.imag * slope[:, None, :] * (0.5 / om)[None, :, :]
         return eta[0], eta[1], ok, deta.transpose(2, 0, 1)
 
 

@@ -48,8 +48,6 @@ def fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.8e}"
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -95,8 +93,9 @@ class _Emitter:
                 return "true" if v else "false"
             if isinstance(v, (int, np.integer)):
                 return str(int(v))
-            if v is None or (isinstance(v, float) and not np.isfinite(v)):
-                return "null" if v is None or v != v else cell(float(v))
+            # JSON has no NaN or infinity
+            if isinstance(v, float) and not np.isfinite(v):
+                return "null"
             return fmt(v)
 
         out = ["{", '  "config": {']
@@ -169,11 +168,7 @@ def cmd_point(cfg: RunConfig, emitter: _Emitter) -> int:
 def cmd_map(cfg: RunConfig, emitter: _Emitter) -> int:
     atom = cfg.atom.build()
     response = CellResponse(atom, cfg.constants.build())
-    bmap = map_domain(
-        cfg.grid.build(), cfg.cavity.build(), response, cfg.solver.build(),
-        eta_absorbing=cfg.thresholds.eta_absorbing,
-        eta_transparent=cfg.thresholds.eta_transparent,
-    )
+    bmap = map_domain(cfg.grid.build(), cfg.cavity.build(), response, cfg.solver.build())
     failed = int((bmap.region == REGION_FAILED).sum())
     print(f"map: {bmap.region.size} cells, {failed} failed, "
           f"{bmap.bistable_cells()} bistable, {bmap.table_points} table points, "
@@ -191,8 +186,7 @@ def cmd_map(cfg: RunConfig, emitter: _Emitter) -> int:
 def cmd_sweep(cfg: RunConfig, emitter: _Emitter) -> int:
     atom = cfg.atom.build()
     response = CellResponse(atom, cfg.constants.build())
-    result = run_sweep(cfg.sweep.build(), cfg.cavity.build(), response,
-                       jump_threshold=cfg.thresholds.jump_threshold)
+    result = run_sweep(cfg.sweep.build(), cfg.cavity.build(), response)
     passes = (result.forward, result.backward)
     print(f"sweep: {sum(len(p.t) for p in passes)} samples, "
           f"{sum(int((~p.converged).sum()) for p in passes)} unconverged, "
@@ -251,9 +245,7 @@ def cmd_approx(cfg: RunConfig, emitter: _Emitter) -> int:
         ("map_exact", CellResponse(atom, constants)),
         ("map_approx", ApproxCellResponse(atom, constants)),
     ):
-        bmap = map_domain(grid, cav, response, solver,
-                          eta_absorbing=cfg.thresholds.eta_absorbing,
-                          eta_transparent=cfg.thresholds.eta_transparent)
+        bmap = map_domain(grid, cav, response, solver)
         emitter.emit(stem, MAP_COLUMNS, map_rows(bmap))
         emitter.emit(f"boundary_{stem.split('_')[1]}", BOUNDARY_COLUMNS,
                      boundary_rows(bmap))

@@ -94,13 +94,6 @@ class SweepSection:
 
 
 @dataclass
-class ThresholdSection:
-    eta_absorbing: float = 0.1
-    eta_transparent: float = 0.9
-    jump_threshold: float = 0.5
-
-
-@dataclass
 class SteadySection:
     omega1: float = 1.0
     omega2: float = 1.0
@@ -129,7 +122,6 @@ class RunConfig:
     solver: SolverSection = field(default_factory=SolverSection)
     grid: GridSection = field(default_factory=GridSection)
     sweep: SweepSection = field(default_factory=SweepSection)
-    thresholds: ThresholdSection = field(default_factory=ThresholdSection)
     steady: SteadySection = field(default_factory=SteadySection)
     point: PointSection = field(default_factory=PointSection)
     approx: ApproxSection = field(default_factory=ApproxSection)
@@ -140,9 +132,9 @@ class RunConfig:
     def flat_items(self) -> list[tuple[str, object]]:
         """Deterministic flattened (key, value) pairs of the resolved config.
 
-        output_dir and threads are omitted: they are execution details (file
-        location, worker count) that must not break byte-identity of runs
-        computing the same physics.
+        output_dir and threads are omitted: the output location, and a key
+        accepted for compatibility that no command reads, must not break
+        byte-identity of runs computing the same physics.
         """
         items: list[tuple[str, object]] = []
         for name in sorted(_SECTIONS):
@@ -179,9 +171,6 @@ def _coerce(where: str, want, value):
     return value
 
 
-_FLOAT_OR_NONE = {"C1", "C2"}
-
-
 def _set(cfg: RunConfig, section: str, name: str, value) -> None:
     """Coerce `value` and store it as `section.name`, or as the top-level key
     `name` when `section` is empty."""
@@ -194,10 +183,7 @@ def _set(cfg: RunConfig, section: str, name: str, value) -> None:
         known = not section and name in _SCALARS
     if not known:
         raise ValidationError(f"unknown key {where}")
-    if name in _FLOAT_OR_NONE:
-        if value is not None:
-            value = _coerce(where, float, value)
-    elif name == "waypoints":
+    if name == "waypoints":
         if (not isinstance(value, list) or len(value) < 2 or
                 not all(isinstance(w, list) and len(w) == 2 for w in value)):
             raise ValidationError(f"{where}: expected a list of [I1_0, I2_0] pairs")
@@ -238,6 +224,9 @@ def load_config(source: str | None = None, text: str | None = None,
                 raise ValidationError(f"{key}: expected an object of settings")
             for name, v in value.items():
                 _set(cfg, key, name, v)
+        elif isinstance(value, dict) and value and key not in _SCALARS:
+            # a section the schema does not have: name its first key
+            raise ValidationError(f"unknown key {key}.{next(iter(value))}")
         else:
             _set(cfg, "", key, value)
     for key, value in (overrides or {}).items():
@@ -256,13 +245,6 @@ def _validate(cfg: RunConfig) -> None:
             getattr(cfg, name).build()
         except ValueError as exc:
             raise ValidationError(f"{name}.{exc}") from exc
-    th = cfg.thresholds
-    if not 0.0 < th.eta_absorbing:
-        raise ValidationError("thresholds.eta_absorbing: must be positive")
-    if not th.eta_absorbing < th.eta_transparent:
-        raise ValidationError("thresholds.eta_transparent: must exceed eta_absorbing")
-    if not th.jump_threshold > 0:
-        raise ValidationError("thresholds.jump_threshold: must be positive")
     if not cfg.threads >= 0:
         raise ValidationError("threads: must be >= 0")
     if cfg.format not in ("csv", "json"):

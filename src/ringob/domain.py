@@ -29,6 +29,10 @@ REGION_ABSORBING = "absorbing"
 REGION_BISTABLE = "bistable"
 REGION_TRANSPARENT = "transparent"
 REGION_FAILED = "failed"
+# a one-root cell is absorbing when all its etas lie below ETA_ABSORBING,
+# transparent when all lie above ETA_TRANSPARENT, else by the nearer one
+ETA_ABSORBING = 0.1
+ETA_TRANSPARENT = 0.9
 
 # The map is solved through the inverse map F(I) = (I1 (1 - R1 eta1),
 # I2 (1 - R2 eta2)) of the internal intensities I, whose preimages of a
@@ -133,31 +137,26 @@ def _cell_stats(ops: list[OperatingPoint]):
     )
 
 
-def _label(count: int, min_eta: float, max_eta: float,
-           eta_absorbing: float, eta_transparent: float) -> str:
+def _label(count: int, min_eta: float, max_eta: float) -> str:
     if count >= 2:
         return REGION_BISTABLE
-    if max_eta < eta_absorbing:
+    if max_eta < ETA_ABSORBING:
         return REGION_ABSORBING
-    if min_eta > eta_transparent:
+    if min_eta > ETA_TRANSPARENT:
         return REGION_TRANSPARENT
     # between thresholds: take the nearer one
-    if (max_eta - eta_absorbing) <= (eta_transparent - min_eta):
+    if (max_eta - ETA_ABSORBING) <= (ETA_TRANSPARENT - min_eta):
         return REGION_ABSORBING
     return REGION_TRANSPARENT
 
 
 def _log_image(u, cav, response):
     """log F at points u (n, 2) of log internal intensity, and the mask of
-    points where the response is ok and has no gain (there F > 0)."""
-    v = np.empty_like(u)
-    good = np.empty(len(u), dtype=bool)
-    for s in range(0, len(u), EVAL_CHUNK):
-        part = slice(s, s + EVAL_CHUNK)
-        F, etas, ok = _residual_batch(np.exp(u[part]), np.zeros(2), cav, response)
-        good[part] = ok & np.all(etas <= 1.0 + GAIN_TOL, axis=1) & np.all(F > 0.0, axis=1)
-        v[part] = np.log(np.where(good[part, None], F, 1.0))
-    return v, good
+    points where the response is ok and has no gain (there F > 0). Callers
+    keep n within EVAL_CHUNK."""
+    F, etas, ok = _residual_batch(np.exp(u), np.zeros(2), cav, response)
+    good = ok & np.all(etas <= 1.0 + GAIN_TOL, axis=1) & np.all(F > 0.0, axis=1)
+    return np.log(np.where(good[:, None], F, 1.0)), good
 
 
 def _lattice(a1, a2):
@@ -337,8 +336,6 @@ def map_domain(
     cav: CavityParams,
     response,
     cfg: SolverConfig,
-    eta_absorbing: float = 0.1,
-    eta_transparent: float = 0.9,
 ) -> BistabilityMap:
     """Solve every grid cell and label the three regions of the input plane.
 
@@ -397,7 +394,7 @@ def map_domain(
         stables[i, j] = stb
         min_eta[i, j] = lo_eta
         max_eta[i, j] = hi_eta
-        region[i, j] = _label(cnt, lo_eta, hi_eta, eta_absorbing, eta_transparent)
+        region[i, j] = _label(cnt, lo_eta, hi_eta)
 
     bmap = BistabilityMap(
         grid=grid,

@@ -13,6 +13,9 @@ import numpy as np
 
 from .feedback import CavityParams, InputPoint, correct_root, iterate_map
 
+# a jump is an output step larger than JUMP_THRESHOLD times the larger
+# output, which also bounds the relative move of an accepted Newton correction
+JUMP_THRESHOLD = 0.5
 # a jump's comparison scale is floored at this share of the channel's peak input
 JUMP_INPUT_FLOOR = 1e-9
 
@@ -140,7 +143,7 @@ def _cold_start(inp: InputPoint, cav: CavityParams, response):
     return i1, i2
 
 
-def _run_pass(t, i1_0, i2_0, cav, response, max_move) -> tuple[SweepTrace, int]:
+def _run_pass(t, i1_0, i2_0, cav, response) -> tuple[SweepTrace, int]:
     """One directional pass and its number of fallbacks: samples that
     iterate_map finds because correct_root refused or the sample starts cold."""
     n = len(t)
@@ -152,7 +155,7 @@ def _run_pass(t, i1_0, i2_0, cav, response, max_move) -> tuple[SweepTrace, int]:
     for k in range(n):
         inp = InputPoint(float(i1_0[k]), float(i2_0[k]))
         cold = state is None
-        root = None if cold else correct_root(inp, cav, response, state, max_move)
+        root = None if cold else correct_root(inp, cav, response, state, JUMP_THRESHOLD)
         if root is None:
             fallbacks += 1
             res = iterate_map(inp, cav, response,
@@ -177,7 +180,7 @@ def _run_pass(t, i1_0, i2_0, cav, response, max_move) -> tuple[SweepTrace, int]:
     return trace, fallbacks
 
 
-def detect_jumps(trace: SweepTrace, threshold: float = 0.5) -> list[Jump]:
+def detect_jumps(trace: SweepTrace) -> list[Jump]:
     """Relative output discontinuities between consecutive converged samples.
 
     The comparison scale is floored at JUMP_INPUT_FLOOR times the channel's
@@ -204,7 +207,7 @@ def detect_jumps(trace: SweepTrace, threshold: float = 0.5) -> list[Jump]:
             if not (trace.converged[k] and trace.converged[k + 1]):
                 continue
             a, b = y[k], y[k + 1]
-            if abs(b - a) > threshold * max(abs(a), abs(b), floor) \
+            if abs(b - a) > JUMP_THRESHOLD * max(abs(a), abs(b), floor) \
                     and steps[k] > 5.0 * median_step:
                 jumps.append(Jump(
                     t=float(0.5 * (trace.t[k] + trace.t[k + 1])),
@@ -230,25 +233,21 @@ def loop_area(forward: SweepTrace, backward: SweepTrace, output_index: int) -> f
     return float(np.trapezoid(np.abs(yf[good] - yb[good]), t))
 
 
-def run_sweep(spec, cav: CavityParams, response,
-              jump_threshold: float = 0.5) -> SweepResult:
+def run_sweep(spec, cav: CavityParams, response) -> SweepResult:
     """Forward then backward quasi-static pass along an AxisSweep or
     ParametricPath, with jump detection and hysteresis loop areas.
 
     The backward pass reverses the sample order but reports its trace on the
     forward abscissa so the two passes are directly comparable.
-    `jump_threshold` also bounds the relative move of an accepted Newton
-    correction.
     """
     t, i1, i2 = spec.samples()
-    fwd, fb_fwd = _run_pass(t, i1, i2, cav, response, jump_threshold)
-    bwd_rev, fb_bwd = _run_pass(t[::-1], i1[::-1], i2[::-1], cav, response,
-                                jump_threshold)
+    fwd, fb_fwd = _run_pass(t, i1, i2, cav, response)
+    bwd_rev, fb_bwd = _run_pass(t[::-1], i1[::-1], i2[::-1], cav, response)
     bwd = SweepTrace(**{f.name: getattr(bwd_rev, f.name)[::-1].copy()
                         for f in fields(SweepTrace)})
     result = SweepResult(forward=fwd, backward=bwd, fallbacks=fb_fwd + fb_bwd)
-    result.jumps_forward = detect_jumps(fwd, jump_threshold)
-    result.jumps_backward = detect_jumps(bwd, jump_threshold)
+    result.jumps_forward = detect_jumps(fwd)
+    result.jumps_backward = detect_jumps(bwd)
     result.loop_area_1 = loop_area(fwd, bwd, 1)
     result.loop_area_2 = loop_area(fwd, bwd, 2)
     return result

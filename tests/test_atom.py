@@ -269,21 +269,17 @@ class TestSusceptibility:
         assert ((0 < eta) & (eta < 1)).all()
 
     def test_transparent_limit(self):
-        resp = CellResponse(AtomParams(), OpticalConstants(C1=0.0, C2=0.0))
+        # no dipole coupling: chi = 0 and eta = 1 exactly
+        resp = CellResponse(AtomParams(), OpticalConstants(D1=0.0, D2=0.0))
         e1, e2, ok = resp.etas([0.5, 2.0], [1.0, 0.1])
         assert ok.all()
         np.testing.assert_array_equal(e1, 1.0)
         np.testing.assert_array_equal(e2, 1.0)
 
-    def test_coupling_override(self):
-        c = OpticalConstants(C1=2.0, C2=3.0)
-        assert c.coupling(1) == 2.0
-        assert c.coupling(2) == 3.0
-
     def test_include_length(self):
         I1, I2 = [0.5, 2.0, 8.0], [1.0, 0.1, 0.02]
-        e1, e2, _ = CellResponse(AtomParams(), OpticalConstants(include_length=True)).etas(I1, I2)
-        f1, f2, _ = CellResponse(AtomParams(), OpticalConstants(include_length=False)).etas(I1, I2)
+        e1, e2, _ = CellResponse(AtomParams(), OpticalConstants(L=5.0)).etas(I1, I2)
+        f1, f2, _ = CellResponse(AtomParams(), OpticalConstants(L=1.0)).etas(I1, I2)
         # L = 5 cm multiplies the exponent
         np.testing.assert_allclose(np.log(e1), 5.0 * np.log(f1), rtol=1e-12)
         np.testing.assert_allclose(np.log(e2), 5.0 * np.log(f2), rtol=1e-12)

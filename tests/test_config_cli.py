@@ -12,7 +12,7 @@ import pytest
 
 from ringob import feedback
 from ringob.atom import CellResponse, DriveParams, OpticalConstants, steady_state
-from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, cmd_steady, fmt, main
+from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _Emitter, cmd_steady, fmt, main
 from ringob.config import ParseError, ValidationError, load_config
 from ringob.domain import GridSpec
 from ringob.sweep import AxisSweep, ParametricPath
@@ -100,17 +100,12 @@ class TestValidation:
         cfg = load_config(text='{"atom": {"gamma_2to1": 5.0}}')
         assert cfg.atom.build().gamma[1, 0] == 5.0
 
-    def test_thresholds_order(self):
-        with pytest.raises(ValidationError, match="eta_absorbing"):
-            load_config(text='{"thresholds": {"eta_absorbing": 0.95}}')
-
-    # an accepted NaN switches jump detection off (jump_threshold) or fails
-    # late under another name (i1_max)
+    # an accepted NaN would fail late under another name (eps1, i1_max)
     @pytest.mark.parametrize("section, key, literal", [
-        ("thresholds", "jump_threshold", "NaN"),
+        ("atom", "eps1", "NaN"),
         ("grid", "i1_max", "NaN"),
         ("point", "I1_0", "Infinity"),
-        ("constants", "C1", "-Infinity"),
+        ("constants", "D1", "-Infinity"),
         ("sweep", "waypoints", "[[1.0, NaN], [2.0, 0.05]]"),
     ])
     def test_non_finite_rejected(self, section, key, literal):
@@ -150,6 +145,31 @@ def test_cli_rejects_bad_value_naming_key(section, key, literal, tmp_path, capsy
     assert not out.exists()
 
 
+# keys the schema no longer has: the thresholds are the constants
+# domain.ETA_ABSORBING, domain.ETA_TRANSPARENT and sweep.JUMP_THRESHOLD, and
+# the coupling and length overrides are covered by D_j and L
+RETIRED_KEYS = [
+    ("thresholds", "eta_absorbing"), ("thresholds", "eta_transparent"),
+    ("thresholds", "jump_threshold"), ("constants", "C1"), ("constants", "C2"),
+    ("constants", "include_length"), ("constants", "intensity_scale1"),
+    ("constants", "intensity_scale2"),
+]
+
+
+@pytest.mark.parametrize("literal", ["-1", "NaN"])
+@pytest.mark.parametrize("section, key", RETIRED_KEYS)
+def test_cli_rejects_retired_key(section, key, literal, tmp_path, capsys):
+    # unknown whatever the value, in a file or as an override
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+    out = tmp_path / "o"
+    assert main(["map", "--config", str(cfgp), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: unknown key {section}.{key}\n"
+    assert not out.exists()
+    with pytest.raises(ValidationError, match=f"^unknown key {section}\\.{key}$"):
+        load_config(text="{}", overrides={f"{section}.{key}": json.loads(literal)})
+
+
 @pytest.mark.parametrize("argv, key", [
     (["steady", "--omega1", "nan"], "steady.omega1"),
     (["steady", "--omega2", "-1"], "steady.omega2"),
@@ -178,12 +198,12 @@ def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
     lambda: GridSpec(i1_min=NAN),
     lambda: OpticalConstants(Na=NAN),
     lambda: OpticalConstants(D1=NAN),
-    lambda: OpticalConstants(intensity_scale1=NAN),
+    lambda: OpticalConstants(L=NAN),
     lambda: AxisSweep(axis=1, start=NAN, stop=1.0, steps=5, fixed=0.1),
     lambda: AxisSweep(axis=1, start=0.5, stop=1.0, steps=5, fixed=INF),
     lambda: ParametricPath(waypoints=[(1.0, NAN), (2.0, 0.05)], steps=5),
 ], ids=["grid-i1_max", "grid-i1_min",
-        "constants-Na", "constants-D1", "constants-intensity_scale1",
+        "constants-Na", "constants-D1", "constants-L",
         "axis-start", "axis-fixed", "path-waypoint"])
 def test_domain_types_reject_non_finite(build):
     with pytest.raises(ValueError):
@@ -255,20 +275,18 @@ class TestCli:
         assert "rho_22" in names and "eta_1" in names
 
     def test_steady_matches_cell_response(self):
-        """steady's chi and eta rows equal CellResponse's at I_j = (Omega_j / scale_j)^2."""
+        """steady's chi and eta rows equal CellResponse's at I_j = Omega_j^2."""
         class Rows:
             def emit(self, stem, columns, rows):
                 self.rows = {row[0]: row[1:] for row in rows}
 
-        cfg = load_config(text='{"constants": {"intensity_scale1": 1.7, "intensity_scale2": 0.6}}',
-                          overrides={"steady.omega1": 2.3, "steady.omega2": 0.17})
+        cfg = load_config(text="{}", overrides={"steady.omega1": 2.3, "steady.omega2": 0.17})
         rows = Rows()
         assert cmd_steady(cfg, rows) == EXIT_OK
         constants = cfg.constants.build()
         response = CellResponse(cfg.atom.build(), constants)
         omega = np.array([2.3, 0.17])
-        scale = np.array([1.7, 0.6])
-        e1, e2, ok = response.etas(*((omega / scale) ** 2)[:, None])
+        e1, e2, ok = response.etas(*(omega ** 2)[:, None])
         assert ok[0]
         rho = steady_state(cfg.atom.build(), DriveParams(*omega)).rho
         for mode, eta, coh in ((1, e1[0], rho[1, 0]), (2, e2[0], rho[1, 2])):
@@ -414,6 +432,11 @@ class TestCli:
         assert data["columns"][0] == "index"
         assert data["config"]["cavity.R1"] == 0.6
         assert len(data["rows"]) >= 1
+
+    def test_json_non_finite_is_null(self, tmp_path):
+        cfg = load_config(text='{"format": "json"}')
+        path = _Emitter(str(tmp_path), cfg).emit("t", ["a", "b", "c"], [[NAN, INF, -INF]])
+        assert json.load(open(path))["rows"] == [[None, None, None]]
 
     def test_approx_emits_all_files(self, tmp_path):
         cfg = dict(SMALL)

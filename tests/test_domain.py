@@ -216,7 +216,7 @@ def cell_table(results):
             rows.append((0, 0, domain.REGION_FAILED))
             continue
         count, stable, lo, hi = domain._cell_stats(ops)
-        rows.append((count, stable, domain._label(count, lo, hi, 0.1, 0.9)))
+        rows.append((count, stable, domain._label(count, lo, hi)))
     return rows
 
 

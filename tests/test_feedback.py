@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringob.atom import AtomParams, CellResponse, OpticalConstants
+from ringob.domain import GridSpec, map_domain
 from ringob.feedback import (
     _merge_cells,
     _merge_close,
@@ -162,6 +163,30 @@ class TestConstantResponse:
         root = (2.0 / 0.8, 3.0 / 0.825)
         r = residual(inp, cav, root, response)
         assert np.abs(r).max() < 1e-12
+
+
+class TestGainBranch:
+    """eta1 = 1.96 > 1 is gain: the root I1 = 1 / (1 - 0.5 * 1.96) = 50 lies
+    far above the seed box bound 1.05 * I1_0 / (1 - R1) = 2.1 of a passive
+    cell, so solve_cells widens the box tenfold."""
+
+    CAV = CavityParams(R1=0.5, R2=0.5)
+    GAIN = ConstantResponse(1.96, 0.5)
+
+    def test_widened_box_finds_root(self):
+        ops = find_all_solutions(InputPoint(1.0, 1.0), self.CAV, SolverConfig(seed_grid=8),
+                                 self.GAIN)
+        assert len(ops) == 1
+        assert ops[0].I1_in == pytest.approx(50.0, rel=1e-10)
+        assert ops[0].I2_in == pytest.approx(4.0 / 3.0, rel=1e-10)
+
+    def test_map_sends_gain_cells_to_fallback(self):
+        # the inverse-map table has no gain-free node to seed from
+        grid = GridSpec(i1_min=1.0, i1_max=2.0, i1_steps=3,
+                        i2_min=1.0, i2_max=2.0, i2_steps=3)
+        bmap = map_domain(grid, self.CAV, self.GAIN, SolverConfig(seed_grid=8))
+        assert bmap.fallback_cells == 9
+        assert (bmap.solution_count == 1).all()
 
 
 class TestSigmoidResponse:
