@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
@@ -249,6 +250,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("threads: must be >= 0")
     if cfg.format not in ("csv", "json"):
         raise ValidationError(f"format: must be 'csv' or 'json', got {cfg.format!r}")
+    # a path that can never become a directory fails now, not after the run
+    probe = os.path.abspath(cfg.output_dir)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValidationError(f"output_dir: {probe} is not a directory")
     for section in ("steady", "point"):
         values = getattr(cfg, section)
         for f in fields(values):

@@ -342,12 +342,12 @@ def map_domain(
     The operating points of a cell are the preimages of its input under the
     inverse map F (see TABLE_STEPS): each cell is seeded from a table of F,
     refined at its fold, and all seeds of the map are polished by one
-    batched Newton (in batches of at most EVAL_CHUNK seeds), re-verified and
-    classified as solve_cells does. A cell without seeds (see
-    _inverse_map_seeds) or whose seeds gave no root is solved by solve_cells
-    instead. No cell depends on another, so the map is deterministic. A cell
-    where no operating point is found (NoSolution) is labelled failed; any
-    other exception propagates.
+    batched Newton (in batches of at most EVAL_CHUNK seeds) and classified
+    from the Newton evaluation that found each root, as solve_cells does. A
+    cell without seeds (see _inverse_map_seeds) or whose seeds gave no root
+    is solved by solve_cells instead. No cell depends on another, so the map
+    is deterministic. A cell where no operating point is found (NoSolution)
+    is labelled failed; any other exception propagates.
     """
     a1 = grid.axis1()
     a2 = grid.axis2()

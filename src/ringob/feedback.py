@@ -227,116 +227,110 @@ def _newton_roots(I0, lo, hi, seeds, cell, cav, response):
     cell cell[k]. Every point is iterated exactly as if its cell were solved
     alone: all arithmetic is per point and merging is per cell.
 
-    Every iterate carries the residual and Jacobian of the evaluation that
-    produced it. The line search evaluates the full step of every point, then,
-    in one more batched call, the damped steps lambda = DAMPING**k, k = 1..5,
-    of the points the full step did not improve; the first lambda that lowers
-    max|r| is taken, otherwise the smallest. A point stops when it has made
-    no progress for STALL_ITER iterations (see STALL_RATIO). Returns (roots,
-    root cells, skipped count per cell), the roots of each cell in the order
-    found.
+    Every iterate carries the residual, eta, Jacobian and d(eta)/dI of the
+    evaluation that produced it. The line search evaluates the full step of
+    every point, then, in one more batched call, the damped steps lambda =
+    DAMPING**k, k = 1..5, of the points the full step did not improve; the
+    first lambda that lowers max|r| is taken, otherwise the smallest. A point
+    stops when it has made no progress for STALL_ITER iterations (see
+    STALL_RATIO). Returns (roots, root cells, residuals, etas, d(eta)/dI,
+    skipped count per cell): the residual, eta and d(eta)/dI of each root are
+    those of the evaluation that passed the convergence test, and the roots
+    are ordered by cell, then by (I1, I2).
     """
     tol = NEWTON_TOL * np.maximum(np.maximum(I0[:, 0], I0[:, 1]), 1.0)
     box_lo, box_hi = lo * 1e-3, hi * 10.0
     lams = DAMPING ** np.arange(1, 6)
     pts = np.clip(seeds, (lo * 0.1)[cell], (hi * 10.0)[cell])
-    r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
+    r, etas, ok, J, deta = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
     best = np.full(len(pts), np.inf)
     stall = np.zeros(len(pts), dtype=int)
-    converged, converged_cell = [], []
+    converged = []
     skipped = np.zeros(len(I0), dtype=int)
 
+    # an empty batch runs one pass, so that `converged` is never empty
     for it in range(NEWTON_MAX_ITER):
-        if pts.shape[0] == 0:
-            break
         skipped += np.bincount(cell[~ok], minlength=len(I0))
         norm = np.abs(r).max(axis=1)
         progress = norm < STALL_RATIO * best
         best = np.where(progress, norm, best)
         stall = np.where(progress, 0, stall + 1)
         done = ok & (norm < tol[cell])
-        converged.append(pts[done])
-        converged_cell.append(cell[done])
+        converged.append([a[done] for a in (pts, cell, r, etas, deta)])
         step, det = _newton_step(r, J)
         active = (ok & ~done & (stall < STALL_ITER) & (np.abs(det) > 1e-300)
                   & np.all(np.isfinite(J.reshape(-1, 4)), axis=1))
         if not active.any():
             break
-        base, r, J, norm, step, cell, best, stall = (
-            pts[active], r[active], J[active], norm[active], step[active], cell[active],
-            best[active], stall[active])
+        base, norm, step, cell, best, stall = (
+            pts[active], norm[active], step[active], cell[active], best[active], stall[active])
 
         pts = np.clip(base + step, box_lo[cell], box_hi[cell])
-        r, _, ok, J, _ = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
+        r, etas, ok, J, deta = _residual_batch(pts, I0[cell], cav, response, jacobian=True)
         worse = np.nonzero(~(np.where(ok, np.abs(r).max(axis=1), np.inf) < norm))[0]
         if worse.size:
             m = worse.size
             wc = cell[worse]
             damped = np.clip(base[worse] + lams[:, None, None] * step[worse],
                              box_lo[wc], box_hi[wc]).reshape(-1, 2)
-            r_d, _, ok_d, J_d, _ = _residual_batch(
+            r_d, etas_d, ok_d, J_d, deta_d = _residual_batch(
                 damped, np.tile(I0[wc], (len(lams), 1)), cav, response, jacobian=True)
             norm_d = np.where(ok_d, np.abs(r_d).max(axis=1), np.inf).reshape(len(lams), m)
             improving = norm_d < norm[worse]
             choice = np.where(improving.any(axis=0), improving.argmax(axis=0), len(lams) - 1)
             pick = choice * m + np.arange(m)
-            pts[worse], r[worse], ok[worse], J[worse] = (
-                damped[pick], r_d[pick], ok_d[pick], J_d[pick])
+            pts[worse], r[worse], etas[worse], ok[worse], J[worse], deta[worse] = (
+                damped[pick], r_d[pick], etas_d[pick], ok_d[pick], J_d[pick], deta_d[pick])
         if it >= 1:
             keep = _merge_cells(pts, DEDUP_RADIUS, cell)
-            pts, r, ok, J, cell, best, stall = (
-                pts[keep], r[keep], ok[keep], J[keep], cell[keep], best[keep], stall[keep])
+            pts, r, etas, ok, J, deta, cell, best, stall = (
+                a[keep] for a in (pts, r, etas, ok, J, deta, cell, best, stall))
 
-    roots = np.concatenate(converged) if converged else np.empty((0, 2))
-    root_cell = np.concatenate(converged_cell) if converged else np.empty(0, dtype=int)
+    roots, root_cell, r, etas, deta = (np.concatenate(a) for a in zip(*converged))
     order = np.argsort(root_cell, kind="stable")
-    roots, root_cell = roots[order], root_cell[order]
-    keep = _merge_cells(roots, DEDUP_RADIUS, root_cell)
-    return roots[keep], root_cell[keep], skipped
+    keep = order[_merge_cells(roots[order], DEDUP_RADIUS, root_cell[order])]
+    keep = keep[np.lexsort((roots[keep, 1], roots[keep, 0], root_cell[keep]))]
+    return roots[keep], root_cell[keep], r[keep], etas[keep], deta[keep], skipped
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of a 2x2 real matrix, in closed form."""
-    a, b, c, d = (float(x) for x in np.asarray(M).ravel())
+def spectral_norm(M: np.ndarray) -> np.ndarray:
+    """Largest singular values of real 2x2 matrices M (..., 2, 2), in closed form."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     s = a * a + b * b + c * c + d * d
     det = a * d - b * c
-    disc = max(s * s - 4.0 * det * det, 0.0)
-    return float(np.sqrt(0.5 * (s + np.sqrt(disc))))
+    return np.sqrt(0.5 * (s + np.sqrt(np.maximum(s * s - 4.0 * det * det, 0.0))))
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a 2x2 real matrix, in closed form."""
-    a, b, c, d = (float(x) for x in np.asarray(M).ravel())
-    tr = a + d
-    det = a * d - b * c
-    # tr^2 - 4 det, written without the cancellation of a nearly defective matrix
+def spectral_radius(M: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue magnitudes of real 2x2 matrices M (..., 2, 2), in
+    closed form."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    # tr^2 - 4 det, written without the cancellation of a nearly defective
+    # matrix. Where it is >= 0 the eigenvalues are (tr +- sqrt(disc)) / 2;
+    # where it is < 0 they are a complex pair of modulus sqrt(det), and det > 0
     disc = (a - d) ** 2 + 4.0 * b * c
-    if disc >= 0.0:
-        r = np.sqrt(disc)
-        return float(max(abs(tr + r), abs(tr - r)) / 2.0)
-    return float(np.sqrt(det))
+    return np.where(disc >= 0.0, (np.abs(a + d) + np.sqrt(np.abs(disc))) / 2.0,
+                    np.sqrt(np.abs(a * d - b * c)))[()]
 
 
-def classify(norm: float) -> tuple[str, bool]:
-    """Stability label from the linearized-feedback norm; near-unit norms are marginal."""
-    marginal = abs(norm - 1.0) < MARGINAL_BAND
-    if marginal:
-        return "unstable", True
-    return ("stable" if norm < 1.0 else "unstable"), False
+def classify(radius) -> tuple:
+    """Stability labels and marginal flags of round-trip spectral radii (...):
+    stable below 1, unstable otherwise; a radius within MARGINAL_BAND of 1 is
+    unstable and marginal."""
+    marginal = np.abs(radius - 1.0) < MARGINAL_BAND
+    return np.where((radius < 1.0) & ~marginal, "stable", "unstable")[()], marginal
 
 
-def stability_matrix(pts, I0, cav: CavityParams, response):
-    """Linearized feedback matrices L, iteration-map Jacobians J, etas,
-    residuals and ok at points (n, 2) with inputs I0 (n, 2).
+def stability_matrix(pts, I0, etas, deta, cav: CavityParams):
+    """Linearized feedback matrices L and iteration-map Jacobians J (n, 2, 2)
+    at points (n, 2) with inputs I0 (n, 2), eta (n, 2) and d(eta)/dI (n, 2, 2).
 
-    One evaluation of the response gives eta, the residual and the exact
-    d(eta)/dI. L follows the published linearization with the
-    [1 + R_j eta_j]^2 denominator; J is the Jacobian of the round-trip map.
+    L follows the published linearization with the [1 + R_j eta_j]^2
+    denominator; J is the Jacobian of the round-trip map.
     """
-    r, etas, ok, _, deta = _residual_batch(pts, I0, cav, response, jacobian=True)
     R = np.array([cav.R1, cav.R2])
     L = (I0 * R / (1.0 + R * etas) ** 2)[:, :, None] * deta
-    return L, _round_trip_jacobian(pts, etas, deta, cav), etas, r, ok
+    return L, _round_trip_jacobian(pts, etas, deta, cav)
 
 
 def _round_trip_jacobian(pts, etas, deta, cav):
@@ -346,34 +340,17 @@ def _round_trip_jacobian(pts, etas, deta, cav):
     return (R * etas)[:, :, None] * np.eye(2) + (R * pts)[:, :, None] * deta
 
 
-def _operating_points(pts, I0, cav, response) -> list[OperatingPoint | None]:
-    """Classified operating points at roots pts (n, 2) of inputs I0 (n, 2);
-    None where the response fails."""
-    L, J, etas, r, ok = stability_matrix(pts, I0, cav, response)
-    ops = []
-    for k in range(len(pts)):
-        if not ok[k]:
-            ops.append(None)
-            continue
-        # verdict from the dynamics-faithful quantity, published norm reported alongside
-        radius = spectral_radius(J[k])
-        stability, marginal = classify(radius)
-        I1, I2 = float(pts[k, 0]), float(pts[k, 1])
-        e1, e2 = float(etas[k, 0]), float(etas[k, 1])
-        ops.append(OperatingPoint(
-            I1_in=I1,
-            I2_in=I2,
-            eta1=e1,
-            eta2=e2,
-            I1_out=e1 * I1,
-            I2_out=e2 * I2,
-            stability=stability,
-            marginal=marginal,
-            norm=spectral_norm(L[k]),
-            residual=float(np.abs(r[k]).max()),
-            jacobian_radius=radius,
-        ))
-    return ops
+def _operating_points(pts, I0, r, etas, deta, cav) -> list[OperatingPoint]:
+    """Operating points at roots pts (n, 2) of inputs I0 (n, 2), from the
+    residuals, eta and d(eta)/dI of the evaluation that found them."""
+    L, J = stability_matrix(pts, I0, etas, deta, cav)
+    # verdict from the dynamics-faithful quantity, published norm reported alongside
+    radius = spectral_radius(J)
+    stability, marginal = classify(radius)
+    out = etas * pts
+    columns = (pts[:, 0], pts[:, 1], etas[:, 0], etas[:, 1], out[:, 0], out[:, 1],
+               stability, marginal, spectral_norm(L), np.abs(r).max(axis=1), radius)
+    return [OperatingPoint(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def solve_cells(
@@ -388,7 +365,7 @@ def solve_cells(
     (the operating points sorted by (I1_in, I2_in)) or the NoSolution it
     raises. A cell's result does not depend on the other cells of the batch:
     every evaluation is per point and every merge per cell; the batch only
-    shares the calls into the response (gain probe, Newton, re-verification).
+    shares the calls into the response (gain probe and Newton).
     """
     n = len(inputs)
     if n == 0:
@@ -396,9 +373,10 @@ def solve_cells(
     I0 = np.array([[inp.I1_0, inp.I2_0] for inp in inputs], dtype=float)
     if cav.R1 == 0.0 and cav.R2 == 0.0:
         # feedback absent: internal intensities equal the inputs exactly
-        ops = _operating_points(I0, I0, cav, response)
-        return [[op] if op is not None else NoSolution(inp, skipped=1)
-                for op, inp in zip(ops, inputs)]
+        r, etas, ok, _, deta = _residual_batch(I0, I0, cav, response, jacobian=True)
+        ops = _operating_points(I0, I0, r, etas, deta, cav)
+        return [[op] if good else NoSolution(inp, skipped=1)
+                for op, good, inp in zip(ops, ok, inputs)]
 
     grids = [_seed_grid(inp, cav, cfg) for inp in inputs]
     # probe for gain: physical buildup bound assumes eta <= 1
@@ -421,26 +399,19 @@ def solve_cells(
 
 
 def _solve_seeded(I0, lo, hi, seeds, seed_cell, cav, response):
-    """Newton from given seeds, then re-verification and classification.
+    """Newton from given seeds, then classification of every root from the
+    Newton evaluation that found it.
 
     Cell c has inputs I0[c] and seed box [lo[c], hi[c]]; seed k belongs to
-    cell seed_cell[k], which is non-decreasing. Returns per cell the verified
-    operating points sorted by (I1_in, I2_in), or NoSolution.
+    cell seed_cell[k], which is non-decreasing. Returns per cell the operating
+    points sorted by (I1_in, I2_in), or NoSolution.
     """
-    roots, root_cell, skipped = _newton_roots(I0, lo, hi, seeds, seed_cell, cav, response)
-    ops = _operating_points(roots, I0[root_cell], cav, response)
+    roots, root_cell, r, etas, deta, skipped = _newton_roots(
+        I0, lo, hi, seeds, seed_cell, cav, response)
+    ops = _operating_points(roots, I0[root_cell], r, etas, deta, cav)
     bounds = np.searchsorted(root_cell, np.arange(len(I0) + 1))
-    results = []
-    for c, (i1, i2) in enumerate(I0):
-        mine = ops[bounds[c]:bounds[c + 1]]
-        if any(op is None for op in mine):
-            results.append(NoSolution(InputPoint(i1, i2), skipped=1))
-            continue
-        scale = max(i1, i2, 1.0)
-        mine = sorted((op for op in mine if op.residual < 10.0 * NEWTON_TOL * scale),
-                      key=lambda op: (op.I1_in, op.I2_in))
-        results.append(mine or NoSolution(InputPoint(i1, i2), skipped=int(skipped[c])))
-    return results
+    return [ops[bounds[c]:bounds[c + 1]] or NoSolution(InputPoint(*I0[c]), int(skipped[c]))
+            for c in range(len(I0))]
 
 
 def find_all_solutions(
@@ -452,7 +423,8 @@ def find_all_solutions(
     """All operating points for one input pair, sorted by (I1_in, I2_in).
 
     Damped Newton is launched from every node of a log-spaced seed grid;
-    converged roots are deduplicated, re-verified and classified. Raises
+    converged roots are deduplicated and classified from the evaluation that
+    passed the convergence test (see _newton_roots). Raises
     NoSolution when nothing converges. This is the one-cell case of
     solve_cells.
     """
@@ -520,8 +492,9 @@ def correct_root(
     converges at the rate of the round-trip spectral radius, slow near the
     folds. The root is returned only if Newton reaches a residual below
     CORRECTOR_TOL relative to the intensities within CORRECTOR_MAX_ITER
-    evaluations (etas are eta (2,) of that last evaluation, at the root), its
-    round-trip Jacobian has spectral radius below 1 (Newton finds unstable
+    evaluations (etas are eta (2,) of that last evaluation, at the root), it
+    is stable by the rule the operating points use (classify: round-trip
+    spectral radius below 1 and outside MARGINAL_BAND; Newton finds unstable
     roots as readily as stable ones) and no intensity moved by more than
     `max_move` relative to `start` (a branch switch is left to iterate_map).
     """
@@ -540,8 +513,7 @@ def correct_root(
             return None
     else:
         return None
-    if spectral_radius(_round_trip_jacobian(x, etas, deta, cav)[0]) >= 1.0:
-        return None
-    if np.any(np.abs(x[0] - x0) > max_move * x0):
+    stability, _ = classify(spectral_radius(_round_trip_jacobian(x, etas, deta, cav)[0]))
+    if stability != "stable" or np.any(np.abs(x[0] - x0) > max_move * x0):
         return None
     return (float(x[0, 0]), float(x[0, 1])), etas[0]

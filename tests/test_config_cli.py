@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ringob import feedback
+from ringob import cli, feedback
 from ringob.atom import CellResponse, DriveParams, OpticalConstants, steady_state
 from ringob.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _Emitter, cmd_steady, fmt, main
 from ringob.config import ParseError, ValidationError, load_config
@@ -191,6 +191,18 @@ def test_cli_rejects_bad_flag_naming_key(argv, key, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below a file"])
+def test_cli_rejects_unusable_output_dir(below, tmp_path, capsys, monkeypatch):
+    # an existing file, or a path below one, is refused before the command runs
+    monkeypatch.setattr(cli, "find_all_solutions", lambda *args: pytest.fail("ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = os.path.join(blocker, below) if below else str(blocker)
+    assert main(["point", "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: output_dir: {blocker} is not a directory\n"
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("build", [

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ringob import domain
 from ringob.atom import AtomParams, CellResponse, OpticalConstants
 from ringob.domain import GridSpec, map_domain
 from ringob.feedback import (
     _merge_cells,
     _merge_close,
+    _newton_roots,
     _residual_batch,
+    NEWTON_TOL,
     CavityParams,
     InputPoint,
     NoSolution,
@@ -47,6 +50,16 @@ class ConstantResponse:
         ok = np.isfinite(I1)
         out = (np.full_like(I1, self.e1), np.full_like(I1, self.e2), ok)
         return out + (np.zeros((len(I1), 2, 2)),) if jacobian else out
+
+
+class BrokenResponse:
+    """Every evaluation fails."""
+
+    def etas(self, I1, I2, jacobian=False):
+        I1 = np.atleast_1d(np.asarray(I1, dtype=float))
+        nan = np.full_like(I1, np.nan)
+        out = nan, nan, np.zeros_like(I1, dtype=bool)
+        return out + (np.full((len(I1), 2, 2), np.nan),) if jacobian else out
 
 
 class SigmoidResponse:
@@ -109,6 +122,14 @@ def dense_grid_root_count(inp, cav, response, lo, hi, n=400):
     return count
 
 
+def assert_broadcasts(closed_form, M):
+    """closed_form on a (2, 2, 2, 2) stack holding M gives, entry by entry,
+    the single-matrix results."""
+    stack = np.array([[M, M.T], [-M, np.eye(2)]])
+    want = [[closed_form(m) for m in row] for row in stack]
+    np.testing.assert_array_equal(closed_form(stack), want)
+
+
 class TestClosedForms:
     @given(st.floats(0.0, 0.99), st.floats(0.0, 0.99),
            st.floats(1e-4, 1e-2).map(lambda x: x * 1e2))
@@ -116,6 +137,7 @@ class TestClosedForms:
     def test_spectral_norm_vs_svd(self, a, b, c):
         M = np.array([[a, b], [c, a * b - 0.3]])
         assert spectral_norm(M) == pytest.approx(np.linalg.svd(M)[1][0], abs=1e-12)
+        assert_broadcasts(spectral_norm, M)
 
     def test_spectral_norm_shear(self):
         # known closed form for [[1, 1], [0, 1]]
@@ -129,6 +151,7 @@ class TestClosedForms:
         M = np.array([[a, b], [c, d]])
         assert spectral_radius(M) == pytest.approx(
             float(np.abs(np.linalg.eigvals(M)).max()), abs=1e-10)
+        assert_broadcasts(spectral_radius, M)
 
     def test_classify_bands(self):
         assert classify(0.5) == ("stable", False)
@@ -292,16 +315,20 @@ class TestValidation:
             SolverConfig(seed_grid=0)
 
     def test_no_solution_reports_input(self):
-        class Broken:
-            def etas(self, I1, I2, jacobian=False):
-                I1 = np.atleast_1d(np.asarray(I1, dtype=float))
-                nan = np.full_like(I1, np.nan)
-                out = nan, nan, np.zeros_like(I1, dtype=bool)
-                return out + (np.full((len(I1), 2, 2), np.nan),) if jacobian else out
-
         with pytest.raises(NoSolution):
             find_all_solutions(InputPoint(1.0, 1.0), CavityParams(),
-                               SolverConfig(seed_grid=6), Broken())
+                               SolverConfig(seed_grid=6), BrokenResponse())
+
+    @pytest.mark.parametrize("response, n_seeds", [(BrokenResponse(), 8),
+                                                   (ConstantResponse(0.4, 0.7), 0)],
+                             ids=["failing response", "no seeds"])
+    def test_newton_without_roots_returns_empty(self, response, n_seeds):
+        I0 = np.array([[1.0, 1.0], [2.0, 3.0]])
+        seeds = np.geomspace(0.5, 4.0, 2 * n_seeds).reshape(-1, 2)
+        cell = np.repeat([0, 1], n_seeds // 2)
+        got = _newton_roots(I0, I0 * 0.1, I0 * 3.0, seeds, cell, CavityParams(), response)
+        assert [a.shape for a in got] == [(0, 2), (0,), (0, 2), (0, 2), (0, 2, 2), (2,)]
+        assert got[5].tolist() == [n_seeds // 2] * 2
 
     def test_iterate_requires_positive_start(self):
         with pytest.raises(ValueError):
@@ -392,3 +419,65 @@ class TestSolveCells:
         assert isinstance(batched[0], NoSolution)
         assert [len(ops) for ops in batched[1:]] == [3, 3, 3]
         assert_same_results(batched, [one_cell(inp, cav, cfg, Gapped()) for inp in inputs])
+
+
+class TestRootsFromTheirEvaluation:
+    """Every root comes with eta and the residual of the Newton evaluation
+    that passed the convergence test: they equal a fresh evaluation at the
+    root bit for bit, and the residual lies below the tolerance."""
+
+    SETUPS = {
+        "sigmoid": (SigmoidResponse, CavityParams(R1=0.9, R2=0.5), 16, (3.2, 1.0),
+                    GridSpec(i1_min=0.5, i1_max=20.0, i1_steps=4,
+                             i2_min=0.5, i2_max=2.0, i2_steps=4)),
+        "criterion 5": (lambda: CellResponse(AtomParams(), OpticalConstants()),
+                        CavityParams(), 12, (2.56, 0.05),
+                        GridSpec(i1_min=1.9, i1_max=3.2, i1_steps=4,
+                                 i2_min=0.012, i2_max=0.2, i2_steps=4)),
+    }
+
+    @staticmethod
+    def check(I0, results, cav, response):
+        """Number of roots checked in results, one entry per input of I0."""
+        checked = 0
+        for (i1, i2), ops in zip(I0, results):
+            if isinstance(ops, NoSolution):
+                continue
+            pts = np.array([[op.I1_in, op.I2_in] for op in ops])
+            r, etas, ok, _, _ = _residual_batch(pts, np.array([i1, i2]), cav, response,
+                                                jacobian=True)
+            assert ok.all()
+            assert [[op.eta1, op.eta2] for op in ops] == etas.tolist()
+            assert [op.residual for op in ops] == np.abs(r).max(axis=1).tolist()
+            assert all(op.residual < NEWTON_TOL * max(i1, i2, 1.0) for op in ops)
+            checked += len(ops)
+        return checked
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_roots_match_a_fresh_evaluation(self, setup, monkeypatch):
+        make, cav, seed_grid, point, grid = self.SETUPS[setup]
+        response, cfg = make(), SolverConfig(seed_grid=seed_grid)
+        ops = find_all_solutions(InputPoint(*point), cav, cfg, response)
+        assert self.check([point], [ops], cav, response) == 3
+
+        inputs = [InputPoint(float(x), float(y)) for x in grid.axis1() for y in grid.axis2()]
+        results = solve_cells(inputs, cav, cfg, response)
+        I0 = [(inp.I1_0, inp.I2_0) for inp in inputs]
+        assert self.check(I0, results, cav, response) >= len(inputs)
+
+        # every root the map counts, recorded from both of its solvers
+        seen = []
+
+        def recorded(solver, inputs_of):
+            def run(inputs, *args):
+                results = solver(inputs, *args)
+                seen.append((inputs_of(inputs), results))
+                return results
+            return run
+
+        monkeypatch.setattr(domain, "_solve_seeded", recorded(domain._solve_seeded, list))
+        monkeypatch.setattr(domain, "solve_cells", recorded(
+            domain.solve_cells, lambda inputs: [(p.I1_0, p.I2_0) for p in inputs]))
+        bmap = map_domain(grid, cav, response, cfg)
+        checked = sum(self.check(I0, results, cav, response) for I0, results in seen)
+        assert checked == bmap.solution_count.sum() > len(inputs)

@@ -263,6 +263,17 @@ class TestCorrector:
             e1, e2, _ = SigmoidResponse().etas([root[0]], [root[1]])
             assert etas.tolist() == [e1[0], e2[0]]
 
+    def test_refuses_a_marginal_root(self):
+        # eta = 1 and R = 1 - 5e-7: the one root has round-trip spectral
+        # radius 1 - 5e-7, within MARGINAL_BAND of 1, which the operating
+        # points call unstable and marginal; the corrector refuses it too
+        inp, cav = InputPoint(1.0, 1.0), CavityParams(R1=1 - 5e-7, R2=1 - 5e-7)
+        (op,) = find_all_solutions(inp, cav, SolverConfig(), ConstantResponse(1.0, 1.0))
+        assert (op.stability, op.marginal) == ("unstable", True)
+        assert op.jacobian_radius == pytest.approx(1 - 5e-7, abs=1e-12)
+        assert correct_root(inp, cav, ConstantResponse(1.0, 1.0),
+                            (1.001 * op.I1_in, 1.001 * op.I2_in), max_move=0.5) is None
+
     def test_refuses_a_move_beyond_max_move(self):
         inp = InputPoint(2.0, 0.5)
         low = sigmoid_roots(2.0)[0]
